@@ -19,8 +19,8 @@
 //!
 //! When the transport supports recovery (the multi-process backend), the
 //! cluster additionally keeps a per-rank **journal**: the encoded bytes of
-//! every state-mutating request (`Put*`, `Upload*`, `Summa*`, `Chain*`,
-//! `SetCacheCap`) the rank has *acknowledged*. A rank fault
+//! every state-mutating request (`Upload*`, `Chain*`, `SetCacheCap`) the
+//! rank has *acknowledged*. A rank fault
 //! ([`crate::FaultKind::is_rank_fault`]) triggers, transparently inside
 //! [`Cluster::call`]/[`Cluster::call_all`]:
 //!
@@ -46,7 +46,7 @@
 //! `bytes_operands`/`bytes_results` equal to the fault-free run.
 
 use crate::cost::CostTracker;
-use crate::transport::worker::{OpC, OpCoords, OpF, Reply, Request};
+use crate::transport::worker::{OpCoords, OpF, Reply, Request};
 use crate::transport::{InProcTransport, Transport};
 use crate::{Error, FaultKind, Result};
 use parking_lot::Mutex;
@@ -70,7 +70,7 @@ struct JEntry {
 
 /// How a request interacts with the journal.
 enum JClass {
-    /// No worker state mutated (probe, fetch, pure compute).
+    /// No worker state mutated (probe, stats, pure compute).
     Skip,
     /// Creates/mutates worker state: journal on ack.
     Store { op: Option<u64>, deps: Vec<u64> },
@@ -100,11 +100,6 @@ fn journal_class(req: &Request) -> JClass {
             deps.push(*k);
         }
     }
-    fn c(op: &OpC, deps: &mut Vec<u64>) {
-        if let OpC::Key(k) = op {
-            deps.push(*k);
-        }
-    }
     fn coords(op: &OpCoords, deps: &mut Vec<u64>) {
         if let OpCoords::Key(k) = op {
             deps.push(*k);
@@ -115,14 +110,9 @@ fn journal_class(req: &Request) -> JClass {
         deps: Vec::new(),
     };
     match req {
-        Request::Put { key, .. }
-        | Request::PutC64 { key, .. }
-        | Request::Upload { key, .. }
-        | Request::UploadC64 { key, .. }
+        Request::Upload { key, .. }
         | Request::UploadCoords { key, .. }
-        | Request::UploadSs { key, .. }
-        | Request::SummaInit { key, .. }
-        | Request::SummaPanel { key, .. } => store(*key),
+        | Request::UploadSs { key, .. } => store(*key),
         Request::SetCacheCap { .. } => JClass::Store {
             op: None,
             deps: Vec::new(),
@@ -131,15 +121,6 @@ fn journal_class(req: &Request) -> JClass {
             let mut deps = Vec::new();
             f(a, &mut deps);
             f(b, &mut deps);
-            JClass::Store {
-                op: Some(*store),
-                deps,
-            }
-        }
-        Request::ChainDenseC64 { a, b, store, .. } => {
-            let mut deps = Vec::new();
-            c(a, &mut deps);
-            c(b, &mut deps);
             JClass::Store {
                 op: Some(*store),
                 deps,
@@ -157,15 +138,12 @@ fn journal_class(req: &Request) -> JClass {
         Request::Free { key } | Request::Release { key } | Request::Download { key } => {
             JClass::Remove { key: *key }
         }
-        // pure probes, fetches and value-returning compute: nothing to
-        // reconstruct (their operands, when keyed, are journaled by the
-        // uploads that pinned them)
+        // pure probes and value-returning compute: nothing to reconstruct
+        // (their operands, when keyed, are journaled by the uploads that
+        // pinned them)
         Request::Ping
-        | Request::Get { .. }
-        | Request::GetC64 { .. }
         | Request::CacheStats
         | Request::DenseChunk { .. }
-        | Request::DenseChunkC64 { .. }
         | Request::DensePair { .. }
         | Request::SdChunk { .. }
         | Request::SsChunk { .. }
@@ -179,7 +157,6 @@ fn journal_class(req: &Request) -> JClass {
 pub struct Cluster {
     transport: Box<dyn Transport>,
     tracker: Option<Arc<Mutex<CostTracker>>>,
-    next_key: u64,
     /// Per-rank journal + in-flight books; empty when the transport
     /// cannot recover ranks (the in-process backends).
     logs: Vec<RankLog>,
@@ -199,11 +176,6 @@ impl Cluster {
         Self {
             transport,
             tracker: None,
-            // resident-buffer keys allocated by this cluster (SUMMA slabs
-            // and friends) live far above small test/user keys; hashed
-            // handle keys occupy the full 64-bit space and collide with
-            // neither in practice
-            next_key: 1 << 32,
             logs,
             remap: HashMap::new(),
         }
@@ -242,23 +214,9 @@ impl Cluster {
         self.tracker = Some(tracker);
     }
 
-    /// A fresh worker-store key, unique within this cluster's lifetime —
-    /// the allocator behind resident SUMMA slabs and other driver-managed
-    /// buffers.
-    pub(crate) fn fresh_key(&mut self) -> u64 {
-        let k = self.next_key;
-        self.next_key += 1;
-        k
-    }
-
     /// Number of rank endpoints.
     pub fn ranks(&self) -> usize {
         self.transport.ranks()
-    }
-
-    /// The underlying transport (collectives, diagnostics).
-    pub fn transport_mut(&mut self) -> &mut dyn Transport {
-        &mut *self.transport
     }
 
     fn count_operand(&self, bytes: usize) {
@@ -571,27 +529,26 @@ mod tests {
     use super::*;
     use crate::machine::Machine;
 
+    fn upload(key: u64, data: Vec<f64>) -> Request {
+        Request::Upload { key, data }
+    }
+
+    fn download(key: u64) -> Request {
+        Request::Download { key }
+    }
+
     #[test]
     fn call_all_returns_in_submission_order() {
         let mut cl = Cluster::in_process(3);
         let reqs: Vec<(usize, Request)> = (0..9)
-            .map(|i| {
-                (
-                    i % 3,
-                    Request::Put {
-                        key: i as u64,
-                        data: vec![i as f64],
-                    },
-                )
-            })
+            .map(|i| (i % 3, upload(i as u64, vec![i as f64])))
             .collect();
         for rep in cl.call_all(reqs).unwrap() {
             assert_eq!(rep, Reply::Unit);
         }
-        let gets: Vec<(usize, Request)> = (0..9)
-            .map(|i| (i % 3, Request::Get { key: i as u64 }))
-            .collect();
-        let reps = cl.call_all(gets).unwrap();
+        let downloads: Vec<(usize, Request)> =
+            (0..9).map(|i| (i % 3, download(i as u64))).collect();
+        let reps = cl.call_all(downloads).unwrap();
         for (i, rep) in reps.into_iter().enumerate() {
             assert_eq!(rep, Reply::F64s(vec![i as f64]));
         }
@@ -600,7 +557,7 @@ mod tests {
     #[test]
     fn worker_failures_surface_as_errors() {
         let mut cl = Cluster::in_process(1);
-        assert!(cl.call(0, &Request::Get { key: 42 }).is_err());
+        assert!(cl.call(0, &download(42)).is_err());
     }
 
     #[test]
@@ -608,25 +565,18 @@ mod tests {
         let tracker = Arc::new(Mutex::new(CostTracker::new(Machine::local(), 2)));
         let mut cl = Cluster::in_process(2);
         cl.attach_tracker(Arc::clone(&tracker));
-        cl.call(
-            0,
-            &Request::Put {
-                key: 1,
-                data: vec![1.0; 100],
-            },
-        )
-        .unwrap();
+        cl.call(0, &upload(1, vec![1.0; 100])).unwrap();
         let (ops, res) = {
             let t = tracker.lock();
             (t.bytes_operands, t.bytes_results)
         };
         assert!(ops >= 800, "the 100-word payload is counted: {ops}");
         assert!(res >= 1, "the ack reply is counted: {res}");
-        cl.call(0, &Request::Get { key: 1 }).unwrap();
+        cl.call(0, &download(1)).unwrap();
         let t = tracker.lock();
         assert!(
             t.bytes_results >= 800,
-            "the fetched buffer counts as result"
+            "the downloaded buffer counts as result"
         );
     }
 
@@ -654,15 +604,6 @@ mod tests {
         // no anchor either: round-robin cursor
         assert_eq!(p.place_weighted([], None), 0);
         assert_eq!(p.place_weighted([], None), 1);
-    }
-
-    #[test]
-    fn fresh_keys_are_unique() {
-        let mut cl = Cluster::in_process(1);
-        let a = cl.fresh_key();
-        let b = cl.fresh_key();
-        assert_ne!(a, b);
-        assert!(a >= 1 << 32);
     }
 
     #[test]
@@ -698,32 +639,15 @@ mod tests {
         #[test]
         fn killed_rank_recovers_resident_state_transparently() {
             let (mut cl, tracker) = cluster_with(2, "kill:1@3");
-            cl.call(
-                1,
-                &Request::Upload {
-                    key: 5,
-                    data: vec![1.0, 2.0],
-                },
-            )
-            .unwrap();
-            cl.call(
-                1,
-                &Request::Put {
-                    key: 6,
-                    data: vec![3.0],
-                },
-            )
-            .unwrap();
+            cl.call(1, &upload(5, vec![1.0, 2.0])).unwrap();
+            cl.call(1, &upload(6, vec![3.0])).unwrap();
             // the third send kills the worker; recovery respawns it,
-            // replays both journaled stores and re-issues this Get
+            // replays both journaled uploads and re-issues this Download
             assert_eq!(
-                cl.call(1, &Request::Get { key: 5 }).unwrap(),
+                cl.call(1, &download(5)).unwrap(),
                 Reply::F64s(vec![1.0, 2.0])
             );
-            assert_eq!(
-                cl.call(1, &Request::Get { key: 6 }).unwrap(),
-                Reply::F64s(vec![3.0])
-            );
+            assert_eq!(cl.call(1, &download(6)).unwrap(), Reply::F64s(vec![3.0]));
             let t = tracker.lock();
             assert!(t.bytes_recovery > 0, "replay traffic is metered apart");
         }
@@ -731,20 +655,10 @@ mod tests {
         #[test]
         fn exhausted_respawn_degrades_onto_a_survivor() {
             let (mut cl, _) = cluster_with(2, "kill:1@2,nospawn:1");
-            cl.call(
-                1,
-                &Request::Upload {
-                    key: 7,
-                    data: vec![4.5],
-                },
-            )
-            .unwrap();
+            cl.call(1, &upload(7, vec![4.5])).unwrap();
             // kill fires; respawn is vetoed, so rank 1 retires onto the
             // survivor — with its journal replayed there
-            assert_eq!(
-                cl.call(1, &Request::Get { key: 7 }).unwrap(),
-                Reply::F64s(vec![4.5])
-            );
+            assert_eq!(cl.call(1, &download(7)).unwrap(), Reply::F64s(vec![4.5]));
             // both logical ranks stay serviceable
             cl.probe(0).unwrap();
             cl.probe(1).unwrap();
@@ -753,49 +667,22 @@ mod tests {
         #[test]
         fn corrupted_reply_triggers_decode_recovery() {
             let (mut cl, tracker) = cluster_with(1, "corrupt:0@2");
-            cl.call(
-                0,
-                &Request::Upload {
-                    key: 9,
-                    data: vec![0.25],
-                },
-            )
-            .unwrap();
+            cl.call(0, &upload(9, vec![0.25])).unwrap();
             // this reply arrives corrupted → Decode fault → respawn +
-            // replay + re-issue → the retried Get answers correctly
-            assert_eq!(
-                cl.call(0, &Request::Get { key: 9 }).unwrap(),
-                Reply::F64s(vec![0.25])
-            );
+            // replay + re-issue → the retried Download answers correctly
+            assert_eq!(cl.call(0, &download(9)).unwrap(), Reply::F64s(vec![0.25]));
             assert!(tracker.lock().bytes_recovery > 0);
         }
 
         #[test]
         fn freed_keys_leave_the_journal() {
             let (mut cl, _) = cluster_with(1, "kill:0@4");
-            cl.call(
-                0,
-                &Request::Upload {
-                    key: 11,
-                    data: vec![1.0],
-                },
-            )
-            .unwrap();
+            cl.call(0, &upload(11, vec![1.0])).unwrap();
             cl.call(0, &Request::Free { key: 11 }).unwrap();
-            cl.call(
-                0,
-                &Request::Upload {
-                    key: 12,
-                    data: vec![2.0],
-                },
-            )
-            .unwrap();
+            cl.call(0, &upload(12, vec![2.0])).unwrap();
             // kill + recovery: replay must not resurrect the freed key
-            assert_eq!(
-                cl.call(0, &Request::Get { key: 12 }).unwrap(),
-                Reply::F64s(vec![2.0])
-            );
-            let err = cl.call(0, &Request::Get { key: 11 }).unwrap_err();
+            assert_eq!(cl.call(0, &download(12)).unwrap(), Reply::F64s(vec![2.0]));
+            let err = cl.call(0, &download(11)).unwrap_err();
             assert!(
                 matches!(err.as_fault().map(|f| f.kind), Some(FaultKind::Task)),
                 "freed key must stay absent after replay: {err:?}"
@@ -805,7 +692,7 @@ mod tests {
         #[test]
         fn task_failures_do_not_trigger_recovery() {
             let (mut cl, tracker) = cluster_with(1, "");
-            let err = cl.call(0, &Request::Get { key: 404 }).unwrap_err();
+            let err = cl.call(0, &download(404)).unwrap_err();
             assert!(matches!(
                 err.as_fault().map(|f| f.kind),
                 Some(FaultKind::Task)

@@ -12,7 +12,7 @@
 //! The hot entry points accept operands either **by value** (a tensor
 //! reference — shipped with every task on the multi-process backend) or
 //! **by handle** ([`OpHandle`], created with [`Executor::upload`] /
-//! [`Executor::upload_c64`] / [`Executor::upload_sparse`], freed with
+//! [`Executor::upload_sparse`], freed with
 //! [`Executor::free`]). A handle's derived buffers (permuted matrices,
 //! row slabs, coordinate buckets, grouped sparse tables) are pinned in
 //! the worker stores on first use, so every later contraction against the
@@ -28,14 +28,11 @@
 use crate::cluster::{Cluster, Placement};
 use crate::comm::Comm;
 use crate::cost::{self, CostTracker, SimTime};
-use crate::handle::{
-    derive, hseq, Fnv, LocalResult, OpHandle, Payload, Residency, ResultHandle, ResultInfo,
-    ResultKind,
-};
+use crate::handle::{derive, hseq, OpHandle, Payload, Residency, ResultHandle, ResultInfo};
 use crate::kernels;
 use crate::machine::Machine;
 use crate::pool::ThreadPool;
-use crate::transport::worker::{OpC, OpCoords, OpF, OpSs, Reply, Request};
+use crate::transport::worker::{OpCoords, OpF, OpSs, Reply, Request};
 use crate::transport::SpawnSpec;
 use crate::{process_grid, Error, Result};
 use parking_lot::Mutex;
@@ -43,7 +40,7 @@ use std::sync::Arc;
 use tt_linalg::{TruncSpec, TruncatedSvd};
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::{gemm_path, GemmPath};
-use tt_tensor::{Complex64, DenseTensor, Scalar, SparseTensor};
+use tt_tensor::{DenseTensor, SparseTensor};
 
 /// How the executor runs its local kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -74,56 +71,39 @@ pub enum Backend {
     },
 }
 
-/// A dense operand of scalar type `T`: by value or by resident handle.
-/// [`DenseOp`] and [`DenseOpC`] are the `f64` / [`Complex64`] instances —
-/// every dense executor path is generic over [`WireScalar`], which is what
-/// lets one cluster driver serve both scalar types.
-pub enum DenseOpT<'a, T: Scalar> {
+/// A dense `f64` operand: by value or by resident handle.
+#[derive(Clone, Copy)]
+pub enum DenseOp<'a> {
     /// Shipped with every task.
-    Value(&'a DenseTensor<T>),
+    Value(&'a DenseTensor<f64>),
     /// Resident on the runtime after first use.
     Handle(&'a OpHandle),
 }
 
-/// A dense `f64` operand: by value or by resident handle.
-pub type DenseOp<'a> = DenseOpT<'a, f64>;
-/// A dense [`Complex64`] operand: by value or by resident handle.
-pub type DenseOpC<'a> = DenseOpT<'a, Complex64>;
-
-impl<T: Scalar> Copy for DenseOpT<'_, T> {}
-impl<T: Scalar> Clone for DenseOpT<'_, T> {
-    fn clone(&self) -> Self {
-        *self
+impl<'a> From<&'a DenseTensor<f64>> for DenseOp<'a> {
+    fn from(t: &'a DenseTensor<f64>) -> Self {
+        DenseOp::Value(t)
     }
 }
 
-impl<'a, T: Scalar> From<&'a DenseTensor<T>> for DenseOpT<'a, T> {
-    fn from(t: &'a DenseTensor<T>) -> Self {
-        DenseOpT::Value(t)
-    }
-}
-
-impl<'a, T: Scalar> From<&'a OpHandle> for DenseOpT<'a, T> {
+impl<'a> From<&'a OpHandle> for DenseOp<'a> {
     fn from(h: &'a OpHandle) -> Self {
-        DenseOpT::Handle(h)
+        DenseOp::Handle(h)
     }
 }
 
-// the WireScalar bound is an internal wiring detail of the public operand
-// type — the trait itself is not part of the API surface
-#[allow(private_bounds)]
-impl<'a, T: WireScalar> DenseOpT<'a, T> {
-    fn tensor(&self) -> Result<&'a DenseTensor<T>> {
+impl<'a> DenseOp<'a> {
+    fn tensor(&self) -> Result<&'a DenseTensor<f64>> {
         match self {
-            DenseOpT::Value(t) => Ok(t),
-            DenseOpT::Handle(h) => T::from_handle(h),
+            DenseOp::Value(t) => Ok(t),
+            DenseOp::Handle(h) => h.dense(),
         }
     }
 
     fn handle(&self) -> Option<&'a OpHandle> {
         match self {
-            DenseOpT::Value(_) => None,
-            DenseOpT::Handle(h) => Some(h),
+            DenseOp::Value(_) => None,
+            DenseOp::Handle(h) => Some(h),
         }
     }
 }
@@ -165,131 +145,10 @@ impl<'a> SparseOp<'a> {
     }
 }
 
-/// Wire-level behavior of a dense scalar type: operand encoding, upload /
-/// chunk / chain request construction, reply decoding, and handle payload
-/// extraction. The two implementations (for `f64` and [`Complex64`]) are
-/// the *only* scalar-specific code in the dense data plane — everything
-/// else is one generic driver (mirroring `kernels::dense_contract<T>`).
-pub(crate) trait WireScalar: Scalar {
-    /// The wire operand representation ([`OpF`] or [`OpC`]).
-    type Op: Clone + Send;
-    /// Stored `f64` words per element (1 for `f64`, 2 for [`Complex64`]).
-    const WORDS: usize;
-    /// Derived-buffer purpose tag for slab-partitioned permuted `A`.
-    const TAG_A: u64;
-    /// Derived-buffer purpose tag for the replicated permuted `B` matrix.
-    const TAG_B: u64;
-    fn op_inline(data: Vec<Self>) -> Self::Op;
-    fn op_key(key: u64) -> Self::Op;
-    fn upload_req(key: u64, data: Vec<Self>) -> Request;
-    fn chunk_req(
-        path: GemmPath,
-        rows: usize,
-        k: usize,
-        n: usize,
-        a: Self::Op,
-        b: Self::Op,
-    ) -> Request;
-    fn expect(reply: Reply) -> Result<Vec<Self>>;
-    fn from_handle(h: &OpHandle) -> Result<&DenseTensor<Self>>;
-    fn payload(t: &DenseTensor<Self>) -> Payload;
-}
-
-impl WireScalar for f64 {
-    type Op = OpF;
-    const WORDS: usize = 1;
-    const TAG_A: u64 = TAG_DENSE_A;
-    const TAG_B: u64 = TAG_MAT_B;
-
-    fn op_inline(data: Vec<Self>) -> OpF {
-        OpF::Inline(data)
-    }
-
-    fn op_key(key: u64) -> OpF {
-        OpF::Key(key)
-    }
-
-    fn upload_req(key: u64, data: Vec<Self>) -> Request {
-        Request::Upload { key, data }
-    }
-
-    fn chunk_req(path: GemmPath, rows: usize, k: usize, n: usize, a: OpF, b: OpF) -> Request {
-        Request::DenseChunk {
-            path,
-            rows,
-            k,
-            n,
-            a,
-            b,
-        }
-    }
-
-    fn expect(reply: Reply) -> Result<Vec<Self>> {
-        expect_f64s(reply)
-    }
-
-    fn from_handle(h: &OpHandle) -> Result<&DenseTensor<Self>> {
-        h.dense()
-    }
-
-    fn payload(t: &DenseTensor<Self>) -> Payload {
-        Payload::F64(Arc::new(t.clone()))
-    }
-}
-
-impl WireScalar for Complex64 {
-    type Op = OpC;
-    const WORDS: usize = 2;
-    const TAG_A: u64 = TAG_C64_A;
-    const TAG_B: u64 = TAG_C64_B;
-
-    fn op_inline(data: Vec<Self>) -> OpC {
-        OpC::Inline(data)
-    }
-
-    fn op_key(key: u64) -> OpC {
-        OpC::Key(key)
-    }
-
-    fn upload_req(key: u64, data: Vec<Self>) -> Request {
-        Request::UploadC64 { key, data }
-    }
-
-    fn chunk_req(path: GemmPath, rows: usize, k: usize, n: usize, a: OpC, b: OpC) -> Request {
-        Request::DenseChunkC64 {
-            path,
-            rows,
-            k,
-            n,
-            a,
-            b,
-        }
-    }
-
-    fn expect(reply: Reply) -> Result<Vec<Self>> {
-        match reply {
-            Reply::C64s(v) => Ok(v),
-            other => Err(Error::transport(format!(
-                "expected Complex64 payload, got {other:?}"
-            ))),
-        }
-    }
-
-    fn from_handle(h: &OpHandle) -> Result<&DenseTensor<Self>> {
-        h.dense_c64()
-    }
-
-    fn payload(t: &DenseTensor<Self>) -> Payload {
-        Payload::C64(Arc::new(t.clone()))
-    }
-}
-
 /// One operand of a [`Executor::chain`] step.
 pub enum ChainSrc<'a> {
     /// A dense `f64` operand (by value or by resident operand handle).
     Dense(DenseOp<'a>),
-    /// A dense [`Complex64`] operand.
-    DenseC(DenseOpC<'a>),
     /// A sparse `f64` operand — only valid as the first (`a`) side of a
     /// step, selecting the sparse-dense kernel.
     Sparse(SparseOp<'a>),
@@ -317,7 +176,6 @@ pub struct ChainStep<'a> {
 /// The kernel family of a planned chain step.
 enum StepKind {
     Dense,
-    DenseC,
     Sd,
 }
 
@@ -340,31 +198,9 @@ struct PlannedStep {
     key: u64,
 }
 
-impl PlannedStep {
-    fn result_kind(&self) -> ResultKind {
-        result_kind_of(&self.kind)
-    }
-}
-
-fn result_kind_of(kind: &StepKind) -> ResultKind {
-    match kind {
-        StepKind::DenseC => ResultKind::C64,
-        _ => ResultKind::F64,
-    }
-}
-
-/// The scalar family of a chain-step operand at planning time.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SrcKind {
-    F64,
-    C64,
-    Sparse,
-}
-
 /// A resolved wire operand of a chain step.
 enum WireIn {
     F(OpF),
-    C(OpC),
     Coords(OpCoords),
 }
 
@@ -372,13 +208,6 @@ impl WireIn {
     fn f64(self) -> Result<OpF> {
         match self {
             WireIn::F(op) => Ok(op),
-            _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
-        }
-    }
-
-    fn c64(self) -> Result<OpC> {
-        match self {
-            WireIn::C(op) => Ok(op),
             _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
         }
     }
@@ -422,10 +251,8 @@ impl OpCharge {
 }
 
 // Derived-buffer purpose tags (mixed into worker/logical keys).
-const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted f64 A
-const TAG_MAT_B: u64 = 0xB1; // replicated permuted f64 matrix
-const TAG_C64_A: u64 = 0xA2; // slab-partitioned permuted Complex64 A
-const TAG_C64_B: u64 = 0xB2; // replicated permuted Complex64 matrix
+const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted A
+const TAG_MAT_B: u64 = 0xB1; // replicated permuted matrix
 const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
 const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
 const TAG_SS_B: u64 = 0x56; // grouped sparse-sparse B table
@@ -466,7 +293,8 @@ pub struct Executor {
     cluster: Option<Mutex<Cluster>>,
     residency: Mutex<Residency>,
     /// Allocator for driver-issued result keys (chain outputs). Starts far
-    /// above the cluster's SUMMA-slab key range.
+    /// above small test keys; hashed operand keys span the full 64-bit
+    /// space and collide with neither in practice.
     next_result: Mutex<u64>,
     /// Round-robin anchor cursor for chains with no resident inputs —
     /// advanced once per [`Executor::chain`] call, so one chain's
@@ -651,16 +479,10 @@ impl Executor {
     }
 
     /// Run `f` with the multi-process cluster handle, when this executor
-    /// has one (e.g. to drive [`crate::DistMatrix::summa_on`] or
-    /// [`crate::tsqr_on`] over the same worker set).
+    /// has one (e.g. to drive [`crate::tsqr_on`] over the same worker
+    /// set).
     pub fn with_cluster<R>(&self, f: impl FnOnce(&mut Cluster) -> R) -> Option<R> {
         self.cluster.as_ref().map(|cl| f(&mut cl.lock()))
-    }
-
-    /// The driver-side residency registry (for sibling modules that
-    /// manage resident buffers through the same lifecycle).
-    pub(crate) fn residency(&self) -> &Mutex<Residency> {
-        &self.residency
     }
 
     /// The shared cost tracker.
@@ -733,13 +555,6 @@ impl Executor {
     /// per block.
     pub fn upload_shared(&self, t: &Arc<DenseTensor<f64>>) -> OpHandle {
         let h = OpHandle::new(Payload::F64(Arc::clone(t)));
-        self.finish_upload(&h);
-        h
-    }
-
-    /// Upload a dense [`Complex64`] tensor.
-    pub fn upload_c64(&self, t: &DenseTensor<Complex64>) -> OpHandle {
-        let h = OpHandle::new(Payload::C64(Arc::new(t.clone())));
         self.finish_upload(&h);
         h
     }
@@ -878,11 +693,11 @@ impl Executor {
     /// or the tensor exceeds its budget. The returned handle carries one
     /// registry refcount guarding the contraction in flight; pass it to
     /// [`Executor::finish_auto`] when the requests have been answered.
-    fn auto_handle<T: WireScalar>(&self, op: &DenseOpT<T>, t: &DenseTensor<T>) -> Option<OpHandle> {
+    fn auto_handle(&self, op: &DenseOp, t: &DenseTensor<f64>) -> Option<OpHandle> {
         if op.handle().is_some() || !self.retention_enabled() {
             return None;
         }
-        let h = OpHandle::new(T::payload(t));
+        let h = OpHandle::new(Payload::F64(Arc::new(t.clone())));
         self.residency.lock().retain(h.key());
         if self.note_retention(&h) {
             Some(h)
@@ -912,17 +727,6 @@ impl Executor {
             cl.call_all(reqs)?;
         }
         Ok(())
-    }
-
-    /// Worker resident-store footprint as `(bytes, entries, pinned)` per
-    /// rank (empty in-process). Compatibility shim over
-    /// [`Executor::cache_stats`].
-    pub fn worker_cache_stats(&self) -> Result<Vec<(u64, u64, u64)>> {
-        Ok(self
-            .cache_stats()?
-            .into_iter()
-            .map(|s| (s.bytes, s.entries, s.pinned))
-            .collect())
     }
 
     /// Per-rank resident-store cache counters (empty in-process): the
@@ -1075,31 +879,6 @@ impl Executor {
     /// Dense × dense contraction with value-or-handle operands. Results
     /// are bitwise-identical to [`Executor::contract`] on every backend.
     pub fn contract_h(&self, spec: &str, a: DenseOp, b: DenseOp) -> Result<DenseTensor<f64>> {
-        self.contract_dense_t(spec, a, b)
-    }
-
-    /// Dense × dense [`Complex64`] contraction with value-or-handle
-    /// operands, bitwise-deterministic across backends exactly like the
-    /// `f64` path (the wire codec round-trips complex values bit-exactly).
-    pub fn contract_c64(
-        &self,
-        spec: &str,
-        a: DenseOpC,
-        b: DenseOpC,
-    ) -> Result<DenseTensor<Complex64>> {
-        self.contract_dense_t(spec, a, b)
-    }
-
-    /// The scalar-generic dense contraction driver behind
-    /// [`Executor::contract_h`] and [`Executor::contract_c64`]: identical
-    /// decomposition, residency derivation and α–β charges for both
-    /// scalar types (element words scale by [`WireScalar::WORDS`]).
-    fn contract_dense_t<T: WireScalar>(
-        &self,
-        spec: &str,
-        a: DenseOpT<T>,
-        b: DenseOpT<T>,
-    ) -> Result<DenseTensor<T>> {
         let plan = ContractPlan::parse(spec)?;
         let (at, bt) = (a.tensor()?, b.tensor()?);
         // Value-operand auto-residency: with the retention cache enabled
@@ -1110,8 +889,8 @@ impl Executor {
         let auto_a = self.auto_handle(&a, at);
         let auto_b = self.auto_handle(&b, bt);
         let c = if let Some(cl) = &self.cluster {
-            let a_phys = auto_a.as_ref().map(DenseOpT::from).unwrap_or(a);
-            let b_phys = auto_b.as_ref().map(DenseOpT::from).unwrap_or(b);
+            let a_phys = auto_a.as_ref().map(DenseOp::from).unwrap_or(a);
+            let b_phys = auto_b.as_ref().map(DenseOp::from).unwrap_or(b);
             self.dense_over_cluster(&mut cl.lock(), &plan, &a_phys, &b_phys)?
         } else {
             kernels::dense_contract(&plan, at, bt, self.pool())?
@@ -1128,18 +907,18 @@ impl Executor {
         let sa = self.op_state(
             a.handle(),
             a.handle()
-                .map(|h| derive(&[h.key(), T::TAG_A, hseq(&perm_a), path as u64]))
+                .map(|h| derive(&[h.key(), TAG_DENSE_A, hseq(&perm_a), path as u64]))
                 .unwrap_or_default(),
-            T::WORDS * m * k,
+            m * k,
         );
         let sb = self.op_state(
             b.handle(),
             b.handle()
-                .map(|h| derive(&[h.key(), T::TAG_B, hseq(&perm_b)]))
+                .map(|h| derive(&[h.key(), TAG_MAT_B, hseq(&perm_b)]))
                 .unwrap_or_default(),
-            T::WORDS * k * n,
+            k * n,
         );
-        self.charge_contraction(sa, sb, T::WORDS * m * n, m, n, flops, false);
+        self.charge_contraction(sa, sb, m * n, m, n, flops, false);
         Ok(c)
     }
 
@@ -1151,15 +930,14 @@ impl Executor {
     /// miss requires rides in the same superstep as the chunk tasks. The
     /// decomposition is row-disjoint with an invariant kernel path, so
     /// the result is bitwise-identical to the sequential in-process
-    /// kernel. Generic over the scalar type — one driver serves `f64`
-    /// and [`Complex64`].
-    fn dense_over_cluster<T: WireScalar>(
+    /// kernel.
+    fn dense_over_cluster(
         &self,
         cl: &mut Cluster,
         plan: &ContractPlan,
-        a: &DenseOpT<T>,
-        b: &DenseOpT<T>,
-    ) -> Result<DenseTensor<T>> {
+        a: &DenseOp,
+        b: &DenseOp,
+    ) -> Result<DenseTensor<f64>> {
         let (at, bt) = (a.tensor()?, b.tensor()?);
         plan.output_dims(at.dims(), bt.dims())?; // validates shapes
         let (m, k, n) = kernels::fused_dims(plan, at.dims(), bt.dims());
@@ -1176,10 +954,10 @@ impl Executor {
 
         // B: replicated permuted matrix, resident for handles
         let b_field = match b.handle() {
-            None => T::op_inline(bt.permute(&perm_b)?.into_data()),
+            None => OpF::Inline(bt.permute(&perm_b)?.into_data()),
             Some(h) => {
-                let wkey = derive(&[h.key(), T::TAG_B, hseq(&perm_b)]);
-                let mut b_mat: Option<Vec<T>> = None;
+                let wkey = derive(&[h.key(), TAG_MAT_B, hseq(&perm_b)]);
+                let mut b_mat: Option<Vec<f64>> = None;
                 replicate_to_missing(
                     &mut self.residency.lock(),
                     h.key(),
@@ -1195,10 +973,10 @@ impl Executor {
                                 d
                             }
                         };
-                        Ok(T::upload_req(wkey, data))
+                        Ok(Request::Upload { key: wkey, data })
                     },
                 )?;
-                T::op_key(wkey)
+                OpF::Key(wkey)
             }
         };
 
@@ -1218,17 +996,24 @@ impl Executor {
         let n_uploads = reqs.len();
         for (i, &(r0, r1)) in ranges.iter().enumerate() {
             let a_field = match &a_fields {
-                AFields::Inline(mat) => T::op_inline(mat[r0 * k..r1 * k].to_vec()),
-                AFields::Keys(keys) => T::op_key(keys[i]),
+                AFields::Inline(mat) => OpF::Inline(mat[r0 * k..r1 * k].to_vec()),
+                AFields::Keys(keys) => OpF::Key(keys[i]),
             };
             reqs.push((
                 i % p,
-                T::chunk_req(path, r1 - r0, k, n, a_field, b_field.clone()),
+                Request::DenseChunk {
+                    path,
+                    rows: r1 - r0,
+                    k,
+                    n,
+                    a: a_field,
+                    b: b_field.clone(),
+                },
             ));
         }
         let mut c = Vec::with_capacity(m * n);
         for reply in cl.call_all(reqs)?.into_iter().skip(n_uploads) {
-            c.extend_from_slice(&T::expect(reply)?);
+            c.extend_from_slice(&expect_f64s(reply)?);
         }
         // (worker-side kernel flop counts travel back with every reply —
         // see the counter-delta prefix in transport::process — so the
@@ -1237,43 +1022,7 @@ impl Executor {
         Ok(c.permute(plan.output_permutation())?)
     }
 
-    // -- result residency: handle-returning contractions and chains ------
-
-    /// Dense × dense contraction that *produces a handle*: the result
-    /// stays pinned in the worker store of the rank that computed it and
-    /// never returns to the driver. [`Executor::download`] is the only
-    /// value-returning exit; [`Executor::free_result`] discards.
-    pub fn contract_to_h(&self, spec: &str, a: DenseOp, b: DenseOp) -> Result<ResultHandle> {
-        let mut out = self.chain(&[ChainStep {
-            spec,
-            a: ChainSrc::Dense(a),
-            b: ChainSrc::Dense(b),
-            acc: None,
-        }])?;
-        Ok(out.pop().flatten().expect("single non-accumulate step"))
-    }
-
-    /// [`Executor::contract_to_h`] for [`Complex64`] operands.
-    pub fn contract_c64_to_h(&self, spec: &str, a: DenseOpC, b: DenseOpC) -> Result<ResultHandle> {
-        let mut out = self.chain(&[ChainStep {
-            spec,
-            a: ChainSrc::DenseC(a),
-            b: ChainSrc::DenseC(b),
-            acc: None,
-        }])?;
-        Ok(out.pop().flatten().expect("single non-accumulate step"))
-    }
-
-    /// Sparse × dense contraction producing a resident handle.
-    pub fn contract_sd_to_h(&self, spec: &str, a: SparseOp, b: DenseOp) -> Result<ResultHandle> {
-        let mut out = self.chain(&[ChainStep {
-            spec,
-            a: ChainSrc::Sparse(a),
-            b: ChainSrc::Dense(b),
-            acc: None,
-        }])?;
-        Ok(out.pop().flatten().expect("single non-accumulate step"))
-    }
+    // -- result residency: chains ----------------------------------------
 
     /// Run an ordered list of contraction steps **worker-side**: each step
     /// may consume prior steps' resident outputs ([`ChainSrc::Prev`]) or
@@ -1296,7 +1045,8 @@ impl Executor {
     /// submission order exactly like the driver-side value path.
     pub fn chain(&self, steps: &[ChainStep]) -> Result<Vec<Option<ResultHandle>>> {
         let planned = self.plan_chain(steps)?;
-        let mut locals: Vec<Option<LocalResult>> = (0..steps.len()).map(|_| None).collect();
+        let mut locals: Vec<Option<Arc<DenseTensor<f64>>>> =
+            (0..steps.len()).map(|_| None).collect();
         let homes = if let Some(cl) = &self.cluster {
             match self.chain_over_cluster(&mut cl.lock(), steps, &planned) {
                 Ok(homes) => homes,
@@ -1346,23 +1096,16 @@ impl Executor {
                 out.push(None);
                 continue;
             }
-            let produced_by = derive(&[
-                hash_spec(steps[i].spec),
-                src_provenance(&steps[i].a, &planned),
-                src_provenance(&steps[i].b, &planned),
-            ]);
             res.record_result(
                 pl.key,
                 ResultInfo {
                     home: homes[i],
                     words: pl.words_c,
-                    produced_by,
                 },
             );
             out.push(Some(ResultHandle {
                 key: pl.key,
                 dims: pl.out_dims.clone(),
-                kind: pl.result_kind(),
                 words: pl.words_c,
                 local: locals[i].take(),
             }));
@@ -1375,21 +1118,15 @@ impl Executor {
     fn plan_chain(&self, steps: &[ChainStep]) -> Result<Vec<PlannedStep>> {
         let mut planned: Vec<PlannedStep> = Vec::with_capacity(steps.len());
         for (i, st) in steps.iter().enumerate() {
-            let (a_dims, ak) = src_info(&st.a, &planned)?;
-            let (b_dims, bk) = src_info(&st.b, &planned)?;
-            let kind = match (ak, bk) {
-                (SrcKind::Sparse, SrcKind::F64) => StepKind::Sd,
-                (SrcKind::Sparse, _) | (_, SrcKind::Sparse) => {
+            let (a_dims, a_sparse) = src_info(&st.a, &planned)?;
+            let (b_dims, b_sparse) = src_info(&st.b, &planned)?;
+            let kind = match (a_sparse, b_sparse) {
+                (true, false) => StepKind::Sd,
+                (false, false) => StepKind::Dense,
+                _ => {
                     return Err(Error::Runtime(
                         "only sparse × dense chain steps are supported (sparse operand first)"
                             .into(),
-                    ))
-                }
-                (SrcKind::C64, SrcKind::C64) => StepKind::DenseC,
-                (SrcKind::F64, SrcKind::F64) => StepKind::Dense,
-                _ => {
-                    return Err(Error::Runtime(
-                        "chain step mixes f64 and Complex64 operands".into(),
                     ))
                 }
             };
@@ -1400,12 +1137,7 @@ impl Executor {
                 (StepKind::Sd, ChainSrc::Sparse(op)) => 2 * op.tensor()?.nnz() as u64 * n as u64,
                 _ => plan.flop_count(&a_dims, &b_dims),
             };
-            let words_el = if matches!(kind, StepKind::DenseC) {
-                2
-            } else {
-                1
-            };
-            let words_c = words_el * out_dims.iter().product::<usize>();
+            let words_c = out_dims.iter().product::<usize>();
             let (base, key) = match st.acc {
                 None => (i, self.fresh_result_key()),
                 Some(t) => {
@@ -1417,14 +1149,14 @@ impl Executor {
                             "step {i} accumulates into step {t}, itself an accumulate step"
                         )));
                     }
-                    if !matches!(kind, StepKind::Dense | StepKind::DenseC) {
+                    if !matches!(kind, StepKind::Dense) {
                         return Err(Error::Runtime(
                             "accumulate is only supported for dense chain steps".into(),
                         ));
                     }
-                    if tgt.out_dims != out_dims || tgt.result_kind() != result_kind_of(&kind) {
+                    if tgt.out_dims != out_dims {
                         return Err(Error::Runtime(format!(
-                            "step {i} accumulate target has mismatched shape or kind"
+                            "step {i} accumulate target has mismatched shape"
                         )));
                     }
                     (t, tgt.key)
@@ -1495,15 +1227,6 @@ impl Executor {
                     store: pl.key,
                     acc: pl.base != i,
                 },
-                StepKind::DenseC => Request::ChainDenseC64 {
-                    spec: st.spec.to_string(),
-                    a_dims: pl.a_dims.clone(),
-                    a: a_field.c64()?,
-                    b_dims: pl.b_dims.clone(),
-                    b: b_field.c64()?,
-                    store: pl.key,
-                    acc: pl.base != i,
-                },
                 StepKind::Sd => Request::ChainSd {
                     a: a_field.coords()?,
                     m: pl.m,
@@ -1539,8 +1262,8 @@ impl Executor {
         pending: &mut Vec<(usize, Request)>,
     ) -> Result<WireIn> {
         Ok(match src {
-            ChainSrc::Dense(DenseOpT::Value(t)) => WireIn::F(OpF::Inline(t.data().to_vec())),
-            ChainSrc::Dense(DenseOpT::Handle(h)) => {
+            ChainSrc::Dense(DenseOp::Value(t)) => WireIn::F(OpF::Inline(t.data().to_vec())),
+            ChainSrc::Dense(DenseOp::Handle(h)) => {
                 let wkey = derive(&[h.key(), TAG_WHOLE]);
                 if self.residency.lock().add_home(h.key(), wkey, rank) {
                     pending.push((
@@ -1552,20 +1275,6 @@ impl Executor {
                     ));
                 }
                 WireIn::F(OpF::Key(wkey))
-            }
-            ChainSrc::DenseC(DenseOpT::Value(t)) => WireIn::C(OpC::Inline(t.data().to_vec())),
-            ChainSrc::DenseC(DenseOpT::Handle(h)) => {
-                let wkey = derive(&[h.key(), TAG_WHOLE]);
-                if self.residency.lock().add_home(h.key(), wkey, rank) {
-                    pending.push((
-                        rank,
-                        Request::UploadC64 {
-                            key: wkey,
-                            data: h.dense_c64()?.data().to_vec(),
-                        },
-                    ));
-                }
-                WireIn::C(OpC::Key(wkey))
             }
             ChainSrc::Sparse(op) => {
                 let at = op.tensor()?;
@@ -1605,26 +1314,20 @@ impl Executor {
             ChainSrc::Prev(j) => {
                 let key = planned[*j].key;
                 if homes[*j] != rank {
-                    self.chain_move(cl, key, homes[*j], rank, planned[*j].result_kind(), pending)?;
+                    self.chain_move(cl, key, homes[*j], rank, pending)?;
                     homes[*j] = rank;
                 }
-                match planned[*j].result_kind() {
-                    ResultKind::F64 => WireIn::F(OpF::Key(key)),
-                    ResultKind::C64 => WireIn::C(OpC::Key(key)),
-                }
+                WireIn::F(OpF::Key(key))
             }
             ChainSrc::Res(h) => {
                 let info = self.residency.lock().result(h.key).ok_or_else(|| {
                     Error::Runtime(format!("unknown or already-consumed result {h:?}"))
                 })?;
                 if info.home != rank {
-                    self.chain_move(cl, h.key, info.home, rank, h.kind, pending)?;
+                    self.chain_move(cl, h.key, info.home, rank, pending)?;
                     self.residency.lock().move_result(h.key, rank);
                 }
-                match h.kind {
-                    ResultKind::F64 => WireIn::F(OpF::Key(h.key)),
-                    ResultKind::C64 => WireIn::C(OpC::Key(h.key)),
-                }
+                WireIn::F(OpF::Key(h.key))
             }
         })
     }
@@ -1641,26 +1344,13 @@ impl Executor {
         key: u64,
         from: usize,
         to: usize,
-        kind: ResultKind,
         pending: &mut Vec<(usize, Request)>,
     ) -> Result<()> {
         if !pending.is_empty() {
             cl.call_all(std::mem::take(pending))?;
         }
-        let reply = cl.call(from, &Request::Download { key })?;
-        match (kind, reply) {
-            (ResultKind::F64, Reply::F64s(data)) => {
-                pending.push((to, Request::Upload { key, data }))
-            }
-            (ResultKind::C64, Reply::C64s(data)) => {
-                pending.push((to, Request::UploadC64 { key, data }))
-            }
-            (_, other) => {
-                return Err(Error::transport(format!(
-                    "redistribute of {key:#x} returned {other:?}"
-                )))
-            }
-        }
+        let data = expect_f64s(cl.call(from, &Request::Download { key })?)?;
+        pending.push((to, Request::Upload { key, data }));
         Ok(())
     }
 
@@ -1671,29 +1361,20 @@ impl Executor {
         &self,
         steps: &[ChainStep],
         planned: &[PlannedStep],
-        outs: &mut [Option<LocalResult>],
+        outs: &mut [Option<Arc<DenseTensor<f64>>>],
     ) -> Result<()> {
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
-            enum Partial {
-                F(DenseTensor<f64>),
-                C(DenseTensor<Complex64>),
-            }
             let partial = match pl.kind {
                 StepKind::Dense => {
-                    let ta = resolve_local_f64(&st.a, outs)?;
-                    let tb = resolve_local_f64(&st.b, outs)?;
-                    Partial::F(kernels::dense_contract(&pl.plan, ta, tb, self.pool())?)
-                }
-                StepKind::DenseC => {
-                    let ta = resolve_local_c64(&st.a, outs)?;
-                    let tb = resolve_local_c64(&st.b, outs)?;
-                    Partial::C(kernels::dense_contract(&pl.plan, ta, tb, self.pool())?)
+                    let ta = resolve_local(&st.a, outs)?;
+                    let tb = resolve_local(&st.b, outs)?;
+                    kernels::dense_contract(&pl.plan, ta, tb, self.pool())?
                 }
                 StepKind::Sd => {
                     let ChainSrc::Sparse(op) = &st.a else {
                         unreachable!("validated by plan_chain");
                     };
-                    let tb = resolve_local_f64(&st.b, outs)?;
+                    let tb = resolve_local(&st.b, outs)?;
                     let (c, _flops) = kernels::sd_contract(
                         &pl.plan,
                         op.tensor()?,
@@ -1701,28 +1382,16 @@ impl Executor {
                         self.pool(),
                         kernels::SPARSE_PAR_MIN_FLOPS,
                     )?;
-                    Partial::F(c)
+                    c
                 }
             };
             if pl.base == i {
-                outs[i] = Some(match partial {
-                    Partial::F(c) => LocalResult::F64(Arc::new(c)),
-                    Partial::C(c) => LocalResult::C64(Arc::new(c)),
-                });
+                outs[i] = Some(Arc::new(partial));
             } else {
-                match (partial, &mut outs[pl.base]) {
-                    (Partial::F(c), Some(LocalResult::F64(acc))) => {
-                        Arc::make_mut(acc).axpy(1.0, &c)?
-                    }
-                    (Partial::C(c), Some(LocalResult::C64(acc))) => {
-                        Arc::make_mut(acc).axpy(Complex64::new(1.0, 0.0), &c)?
-                    }
-                    _ => {
-                        return Err(Error::Runtime(
-                            "accumulate target missing or mismatched".into(),
-                        ))
-                    }
-                }
+                let acc = outs[pl.base]
+                    .as_mut()
+                    .ok_or_else(|| Error::Runtime("accumulate target missing".into()))?;
+                Arc::make_mut(acc).axpy(1.0, &partial)?;
             }
         }
         Ok(())
@@ -1735,25 +1404,13 @@ impl Executor {
     /// produced in place and never move on the charged path).
     fn chain_charge(&self, src: &ChainSrc, pl: &PlannedStep, is_a: bool) -> Result<OpCharge> {
         let elems = if is_a { pl.m * pl.k } else { pl.k * pl.n };
-        let words_el = if matches!(pl.kind, StepKind::DenseC) {
-            2
-        } else {
-            1
-        };
         Ok(match src {
             ChainSrc::Dense(op) => self.op_state(
                 op.handle(),
                 op.handle()
                     .map(|h| derive(&[h.key(), TAG_WHOLE]))
                     .unwrap_or_default(),
-                words_el * elems,
-            ),
-            ChainSrc::DenseC(op) => self.op_state(
-                op.handle(),
-                op.handle()
-                    .map(|h| derive(&[h.key(), TAG_WHOLE]))
-                    .unwrap_or_default(),
-                words_el * elems,
+                elems,
             ),
             ChainSrc::Sparse(op) => {
                 let words = 2 * op.tensor()?.nnz();
@@ -1777,8 +1434,8 @@ impl Executor {
         })
     }
 
-    /// Download a resident `f64` result — the only value-returning exit
-    /// of a chain. Consumes the handle: the buffer leaves (unpins from)
+    /// Download a resident result — the only value-returning exit of a
+    /// chain. Consumes the handle: the buffer leaves (unpins from)
     /// its home rank's store and the driver forgets it.
     pub fn download(&self, h: ResultHandle) -> Result<DenseTensor<f64>> {
         Ok(self
@@ -1787,11 +1444,8 @@ impl Executor {
             .expect("one handle in, one tensor out"))
     }
 
-    /// Download many resident `f64` results in one superstep.
+    /// Download many resident results in one superstep.
     pub fn download_many(&self, hs: Vec<ResultHandle>) -> Result<Vec<DenseTensor<f64>>> {
-        if let Some(h) = hs.iter().find(|h| h.kind != ResultKind::F64) {
-            return Err(Error::Runtime(format!("f64 download of {h:?}")));
-        }
         if let Some(cl) = &self.cluster {
             let reqs = {
                 let res = self.residency.lock();
@@ -1817,56 +1471,13 @@ impl Executor {
             hs.into_iter()
                 .map(|mut h| {
                     res.forget_result(h.key);
-                    match h.local.take() {
-                        Some(LocalResult::F64(t)) => {
-                            Ok(Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone()))
-                        }
-                        _ => Err(Error::Runtime(
-                            "result handle has no in-process payload".into(),
-                        )),
-                    }
+                    let t = h.local.take().ok_or_else(|| {
+                        Error::Runtime("result handle has no in-process payload".into())
+                    })?;
+                    Ok(Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone()))
                 })
                 .collect()
         }
-    }
-
-    /// Download a resident [`Complex64`] result (consuming the handle).
-    pub fn download_c64(&self, mut h: ResultHandle) -> Result<DenseTensor<Complex64>> {
-        if h.kind != ResultKind::C64 {
-            return Err(Error::Runtime(format!("Complex64 download of {h:?}")));
-        }
-        if let Some(cl) = &self.cluster {
-            let info = self.residency.lock().result(h.key).ok_or_else(|| {
-                Error::Runtime(format!("unknown or already-consumed result {h:?}"))
-            })?;
-            let reply = cl
-                .lock()
-                .call(info.home, &Request::Download { key: h.key })?;
-            self.residency.lock().forget_result(h.key);
-            match reply {
-                Reply::C64s(v) => Ok(DenseTensor::from_vec(h.dims.clone(), v)?),
-                other => Err(Error::transport(format!(
-                    "expected Complex64 payload, got {other:?}"
-                ))),
-            }
-        } else {
-            self.residency.lock().forget_result(h.key);
-            match h.local.take() {
-                Some(LocalResult::C64(t)) => {
-                    Ok(Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone()))
-                }
-                _ => Err(Error::Runtime(
-                    "result handle has no in-process payload".into(),
-                )),
-            }
-        }
-    }
-
-    /// The provenance key of a resident result — a hash of the producing
-    /// step (spec + input keys), recorded in the driver's residency book.
-    /// `None` once the result has been downloaded or freed.
-    pub fn result_provenance(&self, h: &ResultHandle) -> Option<u64> {
-        self.residency.lock().result(h.key).map(|i| i.produced_by)
     }
 
     /// Discard a resident result without downloading it.
@@ -2562,25 +2173,13 @@ impl Executor {
     /// direct factorization to rounding; vectors up to sign.
     fn svd_tall(&self, a: &DenseTensor<f64>, spec: TruncSpec) -> Result<TruncatedSvd> {
         let comm = self.comm();
-        let factors = match self.with_cluster(|cl| crate::tsqr::tsqr_on(a, &comm, cl)) {
+        let (q, r) = match self.with_cluster(|cl| crate::tsqr::tsqr_on(a, &comm, cl)) {
             Some(out) => out?,
             None => crate::tsqr::tsqr(a, &comm)?,
         };
-        self.svd_from_tsqr(a.dims(), factors, spec)
-    }
-
-    /// Recover a truncated SVD from a panel's TSQR factors: SVD the small
-    /// `R` on the driver, `U = Q · U_R`, and charge the standard
-    /// factorization cost. Shared by the value and handle tall paths.
-    fn svd_from_tsqr(
-        &self,
-        dims: &[usize],
-        (q, r): (DenseTensor<f64>, DenseTensor<f64>),
-        spec: TruncSpec,
-    ) -> Result<TruncatedSvd> {
         let t = tt_linalg::svd_trunc(&r, spec)?;
         let u = tt_tensor::gemm_f64(&q, &t.u)?;
-        self.charge_factorization(dims, 14.0);
+        self.charge_factorization(a.dims(), 14.0);
         Ok(TruncatedSvd {
             u,
             s: t.s,
@@ -2628,65 +2227,6 @@ impl Executor {
         self.factorize_batch(mats, 14.0, move |m| tt_linalg::svd_trunc(m, spec))
     }
 
-    /// Truncated SVDs of resident matrices: after the first batch against
-    /// the same handles, zero operand bytes ship. Placement is
-    /// residency-aware (the factorization runs where the matrix lives).
-    pub fn svd_trunc_batch_h(
-        &self,
-        mats: &[&OpHandle],
-        spec: TruncSpec,
-    ) -> Result<Vec<TruncatedSvd>> {
-        if mats
-            .iter()
-            .any(|h| h.dense().map(|t| tall_panel(t.dims())) == Ok(true))
-        {
-            return mats
-                .iter()
-                .map(|h| {
-                    let t = h.dense()?;
-                    if tall_panel(t.dims()) {
-                        self.svd_tall_h(h, spec)
-                    } else {
-                        Ok(self
-                            .factorize_batch_h(
-                                &[*h],
-                                14.0,
-                                |h, field| Ok(svd_request(h.dense()?, field, spec)),
-                                decode_svd,
-                                move |m| tt_linalg::svd_trunc(m, spec),
-                            )?
-                            .pop()
-                            .expect("one matrix, one factorization"))
-                    }
-                })
-                .collect();
-        }
-        self.factorize_batch_h(
-            mats,
-            14.0,
-            |h, field| Ok(svd_request(h.dense()?, field, spec)),
-            decode_svd,
-            move |m| tt_linalg::svd_trunc(m, spec),
-        )
-    }
-
-    /// Tall-panel truncated SVD of a *resident* matrix: TSQR over the
-    /// handle's pinned row slabs ([`crate::tsqr_on_h`]), then the shared
-    /// small-R recovery.
-    fn svd_tall_h(&self, h: &OpHandle, spec: TruncSpec) -> Result<TruncatedSvd> {
-        let comm = self.comm();
-        let factors = crate::tsqr::tsqr_on_h(self, h, &comm)?;
-        self.svd_from_tsqr(h.dense()?.dims(), factors, spec)
-    }
-
-    /// Tall-panel thin QR of a *resident* matrix via its pinned row slabs.
-    fn qr_tall_h(&self, h: &OpHandle) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-        let comm = self.comm();
-        let out = crate::tsqr::tsqr_on_h(self, h, &comm)?;
-        self.charge_factorization(h.dense()?.dims(), 4.0);
-        Ok(out)
-    }
-
     /// Thin QRs of many independent matrices (the sector groups of a block
     /// QR), pool-parallel in [`ExecMode::Threaded`] and rank-round-robin
     /// on the multi-process backend, with in-order results and cost
@@ -2718,146 +2258,6 @@ impl Executor {
             }
         }
         self.factorize_batch(mats, 4.0, tt_linalg::qr_thin)
-    }
-
-    /// Thin QRs of resident matrices (see [`Executor::svd_trunc_batch_h`]).
-    pub fn qr_batch_h(
-        &self,
-        mats: &[&OpHandle],
-    ) -> Result<Vec<(DenseTensor<f64>, DenseTensor<f64>)>> {
-        if mats
-            .iter()
-            .any(|h| h.dense().map(|t| tall_panel(t.dims())) == Ok(true))
-        {
-            return mats
-                .iter()
-                .map(|h| {
-                    let t = h.dense()?;
-                    if tall_panel(t.dims()) {
-                        self.qr_tall_h(h)
-                    } else {
-                        Ok(self
-                            .factorize_batch_h(
-                                &[*h],
-                                4.0,
-                                |h, field| Ok(qr_request(h.dense()?, field)),
-                                decode_qr,
-                                tt_linalg::qr_thin,
-                            )?
-                            .pop()
-                            .expect("one matrix, one factorization"))
-                    }
-                })
-                .collect();
-        }
-        self.factorize_batch_h(
-            mats,
-            4.0,
-            |h, field| Ok(qr_request(h.dense()?, field)),
-            decode_qr,
-            tt_linalg::qr_thin,
-        )
-    }
-
-    /// Shared driver for the handle factorization batches: route each
-    /// matrix to its resident rank (round-robin on first use, uploading
-    /// it in the same superstep), decode replies in submission order, and
-    /// charge the one-time uploads plus each factorization in that order.
-    fn factorize_batch_h<T: Send + 'static>(
-        &self,
-        mats: &[&OpHandle],
-        flop_coeff: f64,
-        make_req: impl Fn(&OpHandle, OpF) -> Result<Request>,
-        decode: impl Fn(Reply) -> Result<T>,
-        local: impl Fn(&DenseTensor<f64>) -> tt_linalg::Result<T> + Send + Sync + Copy + 'static,
-    ) -> Result<Vec<T>> {
-        let mut out = Vec::with_capacity(mats.len());
-        if let Some(cl) = &self.cluster {
-            if mats
-                .iter()
-                .all(|h| h.dense().map(|t| t.order() == 2) == Ok(true))
-            {
-                let mut cl = cl.lock();
-                let mut placement = Placement::new(cl.ranks());
-                let mut reqs: Vec<(usize, Request)> = Vec::new();
-                let mut is_task: Vec<bool> = Vec::new();
-                {
-                    let mut res = self.residency.lock();
-                    for h in mats {
-                        let wkey = derive(&[h.key(), TAG_WHOLE]);
-                        let rank =
-                            placement.place([res.homes(wkey).and_then(|r| r.first().copied())]);
-                        if res.add_home(h.key(), wkey, rank) {
-                            reqs.push((
-                                rank,
-                                Request::Upload {
-                                    key: wkey,
-                                    data: h.dense()?.data().to_vec(),
-                                },
-                            ));
-                            is_task.push(false);
-                        }
-                        reqs.push((rank, make_req(h, OpF::Key(wkey))?));
-                        is_task.push(true);
-                    }
-                }
-                let replies = cl.call_all(reqs)?;
-                drop(cl);
-                let mut task_replies = replies
-                    .into_iter()
-                    .zip(is_task)
-                    .filter_map(|(rep, keep)| keep.then_some(rep));
-                for h in mats {
-                    let reply = task_replies
-                        .next()
-                        .ok_or_else(|| Error::transport("missing factorization reply in batch"))?;
-                    out.push(decode(reply)?);
-                    self.charge_factorization_h(h, flop_coeff)?;
-                }
-                return Ok(out);
-            }
-        }
-        // in-process: handles are plain Arcs — factor the payloads with
-        // the local routine, pool-parallel in Threaded mode like the
-        // value-path batches, charging per matrix in submission order
-        // exactly like the cluster path (same float accumulation order
-        // ⇒ bitwise-equal counters across backends)
-        let results: Vec<tt_linalg::Result<T>> = match self.pool() {
-            Some(pool) if mats.len() > 1 => {
-                let jobs = mats
-                    .iter()
-                    .map(|h| {
-                        let m = h.dense()?.clone();
-                        let job: Box<dyn FnOnce() -> tt_linalg::Result<T> + Send> =
-                            Box::new(move || local(&m));
-                        Ok(job)
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                pool.run(jobs)
-            }
-            _ => mats
-                .iter()
-                .map(|h| Ok(local(h.dense()?)))
-                .collect::<Result<Vec<_>>>()?,
-        };
-        for (r, h) in results.into_iter().zip(mats) {
-            out.push(r?);
-            self.charge_factorization_h(h, flop_coeff)?;
-        }
-        Ok(out)
-    }
-
-    /// Charge one handle factorization: a one-time whole-tensor upload on
-    /// first use, then the standard factorization cost.
-    fn charge_factorization_h(&self, h: &OpHandle, flop_coeff: f64) -> Result<()> {
-        let lkey = derive(&[h.key(), TAG_WHOLE]);
-        if self.observe_logical(h.key(), lkey) && self.ranks > 1 {
-            cost::charge(&self.tracker, |tr| {
-                tr.charge_superstep(8 * h.words() as u64);
-            });
-        }
-        self.charge_factorization(h.dense()?.dims(), flop_coeff);
-        Ok(())
     }
 
     /// Shared driver for the factorization batches: run `f` over every
@@ -2923,11 +2323,6 @@ fn operand_perms(plan: &ContractPlan) -> (Vec<usize>, Vec<usize>) {
     (perm_a, perm_b)
 }
 
-/// Hash an einsum spec into one derivation component (for provenance).
-fn hash_spec(s: &str) -> u64 {
-    s.bytes().fold(Fnv::new(), |f, b| f.u8(b)).finish()
-}
-
 /// Worker key of a sparse operand's whole-coordinate buffer (the
 /// single-bucket form chain steps consume): the standard sd derivation
 /// with a chunk count of 1.
@@ -2943,12 +2338,12 @@ fn sd_whole_key(h: &OpHandle, plan: &ContractPlan, n: usize) -> u64 {
     ])
 }
 
-/// Dims and scalar family of a chain-step operand at planning time.
-fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcKind)> {
+/// Dims of a chain-step operand at planning time, and whether it is the
+/// sparse operand of a sparse-dense step.
+fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, bool)> {
     Ok(match src {
-        ChainSrc::Dense(op) => (op.tensor()?.dims().to_vec(), SrcKind::F64),
-        ChainSrc::DenseC(op) => (op.tensor()?.dims().to_vec(), SrcKind::C64),
-        ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), SrcKind::Sparse),
+        ChainSrc::Dense(op) => (op.tensor()?.dims().to_vec(), false),
+        ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), true),
         ChainSrc::Prev(j) => {
             let pl = planned
                 .get(*j)
@@ -2958,32 +2353,10 @@ fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcK
                     "chain step references accumulate step {j}; reference its base instead"
                 )));
             }
-            let kind = match pl.result_kind() {
-                ResultKind::F64 => SrcKind::F64,
-                ResultKind::C64 => SrcKind::C64,
-            };
-            (pl.out_dims.clone(), kind)
+            (pl.out_dims.clone(), false)
         }
-        ChainSrc::Res(h) => {
-            let kind = match h.kind {
-                ResultKind::F64 => SrcKind::F64,
-                ResultKind::C64 => SrcKind::C64,
-            };
-            (h.dims.clone(), kind)
-        }
+        ChainSrc::Res(h) => (h.dims.clone(), false),
     })
-}
-
-/// Provenance component of a chain-step operand (content key, result key,
-/// or a constant for inline values).
-fn src_provenance(src: &ChainSrc, planned: &[PlannedStep]) -> u64 {
-    match src {
-        ChainSrc::Dense(op) => op.handle().map(OpHandle::key).unwrap_or(1),
-        ChainSrc::DenseC(op) => op.handle().map(OpHandle::key).unwrap_or(1),
-        ChainSrc::Sparse(op) => op.handle().map(OpHandle::key).unwrap_or(1),
-        ChainSrc::Prev(j) => planned[*j].key,
-        ChainSrc::Res(h) => h.key,
-    }
 }
 
 /// Gather `(rank, words)` weights of one operand's resident copies for
@@ -3008,11 +2381,6 @@ fn collect_weights(
                 whole_handle_weights(h, weighted);
             }
         }
-        ChainSrc::DenseC(op) => {
-            if let Some(h) = op.handle() {
-                whole_handle_weights(h, weighted);
-            }
-        }
         ChainSrc::Sparse(op) => {
             if let Some(h) = op.handle() {
                 let wkey = sd_whole_key(h, &pl.plan, pl.n);
@@ -3030,46 +2398,22 @@ fn collect_weights(
     }
 }
 
-/// Resolve a chain-step operand to its local `f64` tensor (in-process
+/// Resolve a dense chain-step operand to its local tensor (in-process
 /// execution).
-fn resolve_local_f64<'x>(
+fn resolve_local<'x>(
     src: &'x ChainSrc<'x>,
-    outs: &'x [Option<LocalResult>],
+    outs: &'x [Option<Arc<DenseTensor<f64>>>],
 ) -> Result<&'x DenseTensor<f64>> {
     match src {
         ChainSrc::Dense(op) => op.tensor(),
-        ChainSrc::Prev(j) => match &outs[*j] {
-            Some(LocalResult::F64(t)) => Ok(t),
-            _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
-        },
-        ChainSrc::Res(h) => match &h.local {
-            Some(LocalResult::F64(t)) => Ok(t),
-            _ => Err(Error::Runtime(
-                "result handle has no in-process f64 payload".into(),
-            )),
-        },
-        _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
-    }
-}
-
-/// Resolve a chain-step operand to its local [`Complex64`] tensor.
-fn resolve_local_c64<'x>(
-    src: &'x ChainSrc<'x>,
-    outs: &'x [Option<LocalResult>],
-) -> Result<&'x DenseTensor<Complex64>> {
-    match src {
-        ChainSrc::DenseC(op) => op.tensor(),
-        ChainSrc::Prev(j) => match &outs[*j] {
-            Some(LocalResult::C64(t)) => Ok(t),
-            _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
-        },
-        ChainSrc::Res(h) => match &h.local {
-            Some(LocalResult::C64(t)) => Ok(t),
-            _ => Err(Error::Runtime(
-                "result handle has no in-process Complex64 payload".into(),
-            )),
-        },
-        _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
+        ChainSrc::Prev(j) => outs[*j]
+            .as_deref()
+            .ok_or_else(|| Error::Runtime("chain step operand kind mismatch".into())),
+        ChainSrc::Res(h) => h
+            .local
+            .as_deref()
+            .ok_or_else(|| Error::Runtime("result handle has no in-process payload".into())),
+        ChainSrc::Sparse(_) => Err(Error::Runtime("chain step operand kind mismatch".into())),
     }
 }
 
@@ -3096,8 +2440,8 @@ fn replicate_to_missing(
 
 /// The per-chunk `A` operand fields of a chunked cluster contraction:
 /// inline row slabs (value operands) or per-chunk resident keys.
-enum AFields<T> {
-    Inline(Vec<T>),
+enum AFields {
+    Inline(Vec<f64>),
     Keys(Vec<u64>),
 }
 
@@ -3106,27 +2450,27 @@ enum AFields<T> {
 /// the slabs missing from their home ranks, and return the operand fields
 /// the chunk requests reference.
 #[allow(clippy::too_many_arguments)]
-fn slab_fields<T: WireScalar>(
+fn slab_fields(
     res: &mut Residency,
-    a: &DenseOpT<T>,
-    at: &DenseTensor<T>,
+    a: &DenseOp,
+    at: &DenseTensor<f64>,
     perm_a: &[usize],
     path: GemmPath,
     ranges: &[(usize, usize)],
     k: usize,
     p: usize,
     reqs: &mut Vec<(usize, Request)>,
-) -> Result<AFields<T>> {
+) -> Result<AFields> {
     match a.handle() {
         None => Ok(AFields::Inline(at.permute(perm_a)?.into_data())),
         Some(h) => {
-            let mut a_mat: Option<Vec<T>> = None;
+            let mut a_mat: Option<Vec<f64>> = None;
             let nchunks = ranges.len();
             let mut keys = Vec::with_capacity(nchunks);
             for (i, &(r0, r1)) in ranges.iter().enumerate() {
                 let wkey = derive(&[
                     h.key(),
-                    T::TAG_A,
+                    TAG_DENSE_A,
                     hseq(perm_a),
                     path as u64,
                     nchunks as u64,
@@ -3140,7 +2484,8 @@ fn slab_fields<T: WireScalar>(
                             a_mat.as_ref().expect("just set")
                         }
                     };
-                    reqs.push((i % p, T::upload_req(wkey, mat[r0 * k..r1 * k].to_vec())));
+                    let data = mat[r0 * k..r1 * k].to_vec();
+                    reqs.push((i % p, Request::Upload { key: wkey, data }));
                 }
                 keys.push(wkey);
             }
@@ -3246,6 +2591,17 @@ mod tests {
             DenseTensor::<f64>::random([24, 6, 30], &mut rng),
             DenseTensor::<f64>::random([30, 6, 18], &mut rng),
         )
+    }
+
+    /// A one-step chain: the contraction's result stays resident.
+    fn resident(exec: &Executor, spec: &str, a: ChainSrc, b: ChainSrc) -> ResultHandle {
+        let step = ChainStep {
+            spec,
+            a,
+            b,
+            acc: None,
+        };
+        exec.chain(&[step]).unwrap().pop().flatten().unwrap()
     }
 
     #[test]
@@ -3507,27 +2863,6 @@ mod tests {
         exec.free(&h).unwrap();
     }
 
-    #[test]
-    fn contract_c64_matches_einsum_and_handles_hit() {
-        let (ar, br) = operands(63);
-        let a = ar.to_complex();
-        let b = br.to_complex();
-        let exec = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
-        let reference = tt_tensor::einsum("isj,jtk->istk", &a, &b).unwrap();
-        let c = exec
-            .contract_c64("isj,jtk->istk", (&a).into(), (&b).into())
-            .unwrap();
-        assert_eq!(c.data(), reference.data());
-        let ha = exec.upload_c64(&a);
-        let hb = exec.upload_c64(&b);
-        let ch = exec
-            .contract_c64("isj,jtk->istk", (&ha).into(), (&hb).into())
-            .unwrap();
-        assert_eq!(ch.data(), reference.data());
-        exec.free(&ha).unwrap();
-        exec.free(&hb).unwrap();
-    }
-
     #[cfg(unix)]
     #[test]
     fn multi_process_backend_bitwise_matches_sequential() {
@@ -3668,21 +3003,11 @@ mod tests {
         let third = mp.operand_bytes() - first - second;
         assert!(third > 10 * second);
         // worker stores report pinned residency; free unpins everywhere
-        let pinned: u64 = mp
-            .worker_cache_stats()
-            .unwrap()
-            .iter()
-            .map(|&(_, _, p)| p)
-            .sum();
+        let pinned: u64 = mp.cache_stats().unwrap().iter().map(|s| s.pinned).sum();
         assert!(pinned > 0);
         mp.free(&ha).unwrap();
         mp.free(&hb).unwrap();
-        let pinned_after: u64 = mp
-            .worker_cache_stats()
-            .unwrap()
-            .iter()
-            .map(|&(_, _, p)| p)
-            .sum();
+        let pinned_after: u64 = mp.cache_stats().unwrap().iter().map(|s| s.pinned).sum();
         assert_eq!(pinned_after, 0);
     }
 
@@ -3709,9 +3034,13 @@ mod tests {
             assert_eq!(c1.data(), c2.data());
             mp.free(&hb).unwrap();
         }
-        for (bytes, _, pinned) in mp.worker_cache_stats().unwrap() {
-            assert!(bytes <= cap, "resident footprint {bytes} exceeds cap {cap}");
-            assert_eq!(pinned, 0, "all handles were freed");
+        for s in mp.cache_stats().unwrap() {
+            assert!(
+                s.bytes <= cap,
+                "resident footprint {} exceeds cap {cap}",
+                s.bytes
+            );
+            assert_eq!(s.pinned, 0, "all handles were freed");
         }
     }
 
@@ -3720,34 +3049,26 @@ mod tests {
         let (a, b) = operands(70);
         let exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
         let c_ref = exec.contract("isj,jtk->istk", &a, &b).unwrap();
-        let h = exec
-            .contract_to_h("isj,jtk->istk", (&a).into(), (&b).into())
-            .unwrap();
-        assert_eq!(h.dims(), c_ref.dims());
-        assert!(
-            exec.result_provenance(&h).is_some(),
-            "resident results carry produced-by provenance"
+        let h = resident(
+            &exec,
+            "isj,jtk->istk",
+            ChainSrc::Dense((&a).into()),
+            ChainSrc::Dense((&b).into()),
         );
+        assert_eq!(h.dims(), c_ref.dims());
         let c = exec.download(h).unwrap();
         assert_eq!(c.data(), c_ref.data(), "dense");
 
         let sa = SparseTensor::from_dense(&a, 0.5);
         let d_ref = exec.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
-        let h = exec
-            .contract_sd_to_h("isj,jtk->istk", (&sa).into(), (&b).into())
-            .unwrap();
+        let h = resident(
+            &exec,
+            "isj,jtk->istk",
+            ChainSrc::Sparse((&sa).into()),
+            ChainSrc::Dense((&b).into()),
+        );
         let d = exec.download(h).unwrap();
         assert_eq!(d.data(), d_ref.data(), "sparse-dense");
-
-        let (ac, bc) = (a.to_complex(), b.to_complex());
-        let e_ref = exec
-            .contract_c64("isj,jtk->istk", (&ac).into(), (&bc).into())
-            .unwrap();
-        let h = exec
-            .contract_c64_to_h("isj,jtk->istk", (&ac).into(), (&bc).into())
-            .unwrap();
-        let e = exec.download_c64(h).unwrap();
-        assert_eq!(e.data(), e_ref.data(), "Complex64");
     }
 
     #[test]
@@ -3806,9 +3127,12 @@ mod tests {
         assert_eq!(exec.download(h).unwrap().data(), acc_ref.data());
 
         // results of earlier chains feed later ones via Res
-        let h1 = exec
-            .contract_to_h("ik,kj->ij", (&a).into(), (&b).into())
-            .unwrap();
+        let h1 = resident(
+            &exec,
+            "ik,kj->ij",
+            ChainSrc::Dense((&a).into()),
+            ChainSrc::Dense((&b).into()),
+        );
         let mut out = exec
             .chain(&[ChainStep {
                 spec: "ik,kj->ij",
@@ -3908,12 +3232,18 @@ mod tests {
         // ranks; combining them exercises the explicit redistribute
         // superstep and still matches the value path bitwise
         let d = DenseTensor::<f64>::random([12, 9], &mut rng);
-        let h1 = mp
-            .contract_to_h("ik,kj->ij", (&a).into(), (&b).into())
-            .unwrap();
-        let h2 = mp
-            .contract_to_h("ik,kj->ij", (&c).into(), (&d).into())
-            .unwrap();
+        let h1 = resident(
+            &mp,
+            "ik,kj->ij",
+            ChainSrc::Dense((&a).into()),
+            ChainSrc::Dense((&b).into()),
+        );
+        let h2 = resident(
+            &mp,
+            "ik,kj->ij",
+            ChainSrc::Dense((&c).into()),
+            ChainSrc::Dense((&d).into()),
+        );
         let fused_ref = mp
             .contract("ik,kj->ij", &t, &mp.contract("ik,kj->ij", &c, &d).unwrap())
             .unwrap();
@@ -3930,12 +3260,7 @@ mod tests {
         mp.free_results(vec![h1, h2]).unwrap();
 
         // after download/free everything is unpinned on the workers
-        let pinned: u64 = mp
-            .worker_cache_stats()
-            .unwrap()
-            .iter()
-            .map(|&(_, _, p)| p)
-            .sum();
+        let pinned: u64 = mp.cache_stats().unwrap().iter().map(|s| s.pinned).sum();
         assert_eq!(pinned, 0, "chain intermediates unpin on download/free");
     }
 
@@ -4004,38 +3329,5 @@ mod tests {
         assert_eq!(t.s.len(), 8);
         assert!(exec.sim_time().svd > 0.0);
         assert!(exec.supersteps() > 0);
-    }
-
-    #[test]
-    fn factorization_handle_batches_match_value_batches() {
-        let mut rng = StdRng::seed_from_u64(66);
-        let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (30, 4)]
-            .iter()
-            .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
-            .collect();
-        let spec = TruncSpec {
-            max_rank: 6,
-            cutoff: 0.0,
-            min_keep: 1,
-        };
-        let exec = Executor::with_machine(Machine::stampede2(4), 1, ExecMode::Sequential);
-        let svds_ref = exec.svd_trunc_batch(mats.clone(), spec).unwrap();
-        let qrs_ref = exec.qr_batch(mats.clone()).unwrap();
-        let handles: Vec<OpHandle> = mats.iter().map(|m| exec.upload(m)).collect();
-        let hrefs: Vec<&OpHandle> = handles.iter().collect();
-        let svds = exec.svd_trunc_batch_h(&hrefs, spec).unwrap();
-        for (s, r) in svds.iter().zip(&svds_ref) {
-            assert_eq!(s.s, r.s);
-            assert_eq!(s.u.data(), r.u.data());
-            assert_eq!(s.vt.data(), r.vt.data());
-        }
-        let qrs = exec.qr_batch_h(&hrefs).unwrap();
-        for ((q, rr), (q2, r2)) in qrs.iter().zip(&qrs_ref) {
-            assert_eq!(q.data(), q2.data());
-            assert_eq!(rr.data(), r2.data());
-        }
-        for h in &handles {
-            exec.free(h).unwrap();
-        }
     }
 }

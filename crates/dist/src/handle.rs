@@ -3,7 +3,7 @@
 //! task.
 //!
 //! An [`OpHandle`] is created by [`crate::Executor::upload`] (or the
-//! `upload_c64` / `upload_sparse` variants) and freed by
+//! `upload_shared` / `upload_sparse` variants) and freed by
 //! [`crate::Executor::free`]. The handle's key is a content hash of the
 //! tensor (dims + exact value bit patterns), so two uploads of identical
 //! data share one key — and one refcount, one set of resident buffers.
@@ -22,7 +22,7 @@
 use crate::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tt_tensor::{Complex64, DenseTensor, SparseTensor};
+use tt_tensor::{DenseTensor, SparseTensor};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -85,8 +85,6 @@ pub(crate) fn hseq(vals: &[usize]) -> u64 {
 pub(crate) enum Payload {
     /// A dense `f64` tensor.
     F64(Arc<DenseTensor<f64>>),
-    /// A dense [`Complex64`] tensor.
-    C64(Arc<DenseTensor<Complex64>>),
     /// A flattened sparse `f64` tensor.
     Sparse(Arc<SparseTensor<f64>>),
 }
@@ -99,15 +97,6 @@ impl Payload {
                 .u8(1)
                 .u64s(t.dims().iter().map(|&d| d as u64))
                 .u64s(t.data().iter().map(|v| v.to_bits()))
-                .finish(),
-            Payload::C64(t) => Fnv::new()
-                .u8(2)
-                .u64s(t.dims().iter().map(|&d| d as u64))
-                .u64s(
-                    t.data()
-                        .iter()
-                        .flat_map(|v| [v.re.to_bits(), v.im.to_bits()]),
-                )
                 .finish(),
             Payload::Sparse(t) => Fnv::new()
                 .u8(3)
@@ -122,7 +111,6 @@ impl Payload {
     fn words(&self) -> usize {
         match self {
             Payload::F64(t) => t.len(),
-            Payload::C64(t) => 2 * t.len(),
             // offset + value per stored entry
             Payload::Sparse(t) => 2 * t.nnz(),
         }
@@ -171,15 +159,6 @@ impl OpHandle {
         }
     }
 
-    pub(crate) fn dense_c64(&self) -> Result<&DenseTensor<Complex64>> {
-        match &self.payload {
-            Payload::C64(t) => Ok(t),
-            _ => Err(Error::Runtime(
-                "operand handle does not hold a dense Complex64 tensor".into(),
-            )),
-        }
-    }
-
     pub(crate) fn sparse(&self) -> Result<&SparseTensor<f64>> {
         match &self.payload {
             Payload::Sparse(t) => Ok(t),
@@ -190,26 +169,8 @@ impl OpHandle {
     }
 }
 
-/// The scalar kind of a resident contraction result.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResultKind {
-    /// Dense `f64` buffer.
-    F64,
-    /// Dense [`Complex64`] buffer.
-    C64,
-}
-
-/// The value of an in-process resident result (the in-process backend has
-/// no worker stores — the "resident" buffer is the driver's own `Arc`).
-#[derive(Clone)]
-pub(crate) enum LocalResult {
-    F64(Arc<DenseTensor<f64>>),
-    C64(Arc<DenseTensor<Complex64>>),
-}
-
 /// A handle on a contraction *result* that stayed resident on the runtime
-/// instead of returning to the driver — produced by
-/// [`crate::Executor::contract_to_h`] and friends, or by a
+/// instead of returning to the driver — produced by a
 /// [`crate::Executor::chain`] superstep. Unlike [`OpHandle`] the key is
 /// driver-issued (the driver never sees the bytes, so it cannot content-
 /// hash them) and ownership is linear: every handle must be consumed by
@@ -218,9 +179,10 @@ pub(crate) enum LocalResult {
 pub struct ResultHandle {
     pub(crate) key: u64,
     pub(crate) dims: Vec<usize>,
-    pub(crate) kind: ResultKind,
     pub(crate) words: usize,
-    pub(crate) local: Option<LocalResult>,
+    /// The in-process value (the in-process backend has no worker
+    /// stores — the "resident" buffer is the driver's own `Arc`).
+    pub(crate) local: Option<Arc<DenseTensor<f64>>>,
 }
 
 impl ResultHandle {
@@ -234,11 +196,6 @@ impl ResultHandle {
         &self.dims
     }
 
-    /// The result's scalar kind.
-    pub fn kind(&self) -> ResultKind {
-        self.kind
-    }
-
     /// Stored words (8-byte units).
     pub fn words(&self) -> usize {
         self.words
@@ -247,11 +204,7 @@ impl ResultHandle {
 
 impl std::fmt::Debug for ResultHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ResultHandle({:#018x}, {:?} {:?})",
-            self.key, self.kind, self.dims
-        )
+        write!(f, "ResultHandle({:#018x}, {:?})", self.key, self.dims)
     }
 }
 
@@ -298,7 +251,7 @@ pub(crate) struct Residency {
     charged: std::collections::HashSet<u64>,
     /// Worker key → home ranks.
     homes: HashMap<u64, (u64, Vec<usize>)>,
-    /// Resident contraction results: worker key → placement + provenance.
+    /// Resident contraction results: worker key → placement.
     results: HashMap<u64, ResultInfo>,
 }
 
@@ -309,9 +262,6 @@ pub(crate) struct ResultInfo {
     pub(crate) home: usize,
     /// Stored words (8-byte units) — what a redistribute moves.
     pub(crate) words: usize,
-    /// Provenance: hash of the producing step (spec + input keys), for
-    /// diagnostics and for derived-buffer keys of downstream consumers.
-    pub(crate) produced_by: u64,
 }
 
 impl Residency {
@@ -388,7 +338,7 @@ impl Residency {
         self.results.insert(key, info);
     }
 
-    /// Placement + provenance of a resident result, if known.
+    /// Placement of a resident result, if known.
     pub(crate) fn result(&self, key: u64) -> Option<ResultInfo> {
         self.results.get(&key).copied()
     }
@@ -431,34 +381,14 @@ mod tests {
             OpHandle::new(Payload::F64(Arc::new(d))).key(),
             "values count"
         );
-        // scalar type is part of the key
-        let cx = DenseTensor::from_vec(
-            [2, 2],
-            vec![
-                Complex64::new(1.0, 0.0),
-                Complex64::new(2.0, 0.0),
-                Complex64::new(3.0, 0.0),
-                Complex64::new(4.0, 0.0),
-            ],
-        )
-        .unwrap();
-        assert_ne!(ha.key(), OpHandle::new(Payload::C64(Arc::new(cx))).key());
     }
 
     #[test]
-    fn result_book_tracks_homes_and_provenance() {
+    fn result_book_tracks_homes() {
         let mut r = Residency::default();
-        r.record_result(
-            10,
-            ResultInfo {
-                home: 2,
-                words: 64,
-                produced_by: 0xbeef,
-            },
-        );
+        r.record_result(10, ResultInfo { home: 2, words: 64 });
         let info = r.result(10).expect("recorded");
         assert_eq!(info.home, 2);
-        assert_eq!(info.produced_by, 0xbeef);
         r.move_result(10, 0);
         assert_eq!(r.result(10).unwrap().home, 0, "redistribute moves home");
         assert_eq!(r.forget_result(10).unwrap().words, 64);

@@ -19,13 +19,20 @@
 //! * [`SimTime`] / [`CostTracker`] — the Fig. 7 cost categories,
 //! * [`Comm`] — collective volume accounting (allreduce/allgather/scatter,
 //!   point-to-point), shared by [`DistMatrix`] and [`tsqr`],
-//! * [`Executor`] — `contract` / `contract_sd` / `contract_ss` /
+//! * [`Executor`] — `contract` / `contract_sd` / `contract_ss` / `chain` /
 //!   `svd_trunc` / `qr` entry points used by `tt-blocks` and everything
-//!   above it,
-//! * [`DistMatrix`] — a block-cyclically distributed dense matrix with a
-//!   SUMMA product,
+//!   above it, over `f64` operands passed by value or by resident
+//!   [`OpHandle`],
+//! * [`Cluster`] / [`Transport`] — the worker protocol and its in-process
+//!   and multi-process backends, with journal-based fault recovery,
+//! * [`DistMatrix`] — a block-cyclically distributed dense matrix whose
+//!   SUMMA product charges the α–β model of the real algorithm,
 //! * [`tsqr`] — communication-avoiding tall-skinny QR built on
-//!   [`tt_linalg::qr_thin`].
+//!   [`tt_linalg::qr_thin`] ([`tsqr_on`] runs the slab factorizations on
+//!   a cluster's workers).
+//!
+//! Every model in the workspace is real, so the distributed data plane
+//! carries `f64` only.
 
 mod cluster;
 mod comm;
@@ -45,10 +52,9 @@ pub use cluster::Cluster;
 pub use comm::Comm;
 pub use cost::{CostTracker, JobScope, ResidentMeter, SimTime};
 pub use exec::{
-    Backend, ChainSrc, ChainStep, DenseOp, DenseOpC, DenseOpT, ExecMode, Executor, RankCacheStats,
-    SparseOp,
+    Backend, ChainSrc, ChainStep, DenseOp, ExecMode, Executor, RankCacheStats, SparseOp,
 };
-pub use handle::{OpHandle, ResultHandle, ResultKind};
+pub use handle::{OpHandle, ResultHandle};
 pub use machine::Machine;
 pub use pool::ThreadPool;
 pub use summa::DistMatrix;
@@ -57,7 +63,7 @@ pub use transport::ProcTransport;
 pub use transport::{maybe_serve, InProcTransport, SpawnSpec, Transport};
 #[cfg(unix)]
 pub use transport::{FaultPlan, ProcOptions};
-pub use tsqr::{tsqr, tsqr_on, tsqr_on_h};
+pub use tsqr::{tsqr, tsqr_on};
 
 // DistError / FaultKind are defined below and exported from the crate
 // root alongside Error/Result.

@@ -7,9 +7,7 @@
 //! per `k`-panel, each moving an `m/pr × b` A-panel and a `b × n/pc`
 //! B-panel per rank.
 
-use crate::cluster::Cluster;
 use crate::comm::Comm;
-use crate::transport::worker::{Reply, Request};
 use crate::{process_grid, Error, Result};
 use tt_tensor::gemm::gemm_acc_slices;
 use tt_tensor::DenseTensor;
@@ -126,120 +124,6 @@ impl DistMatrix {
             block: self.block,
         })
     }
-
-    /// SUMMA over a [`Cluster`]: every rank holds a resident MC-aligned
-    /// row slab of `C` in its own address space; per `k`-panel the driver
-    /// broadcasts the `B` panel and scatters each rank's `A` slab panel,
-    /// and ranks accumulate locally. The slabs only travel back at the
-    /// end — per-superstep traffic is panels, exactly like the real
-    /// algorithm. Charges the same communication as [`DistMatrix::summa`]
-    /// and produces bitwise-identical values (row-disjoint slabs with
-    /// MC-aligned boundaries preserve every accumulation order).
-    pub fn summa_on(
-        &self,
-        other: &DistMatrix,
-        comm: &Comm,
-        cluster: &mut Cluster,
-    ) -> Result<DistMatrix> {
-        let (m, ka) = self.dims();
-        let (kb, n) = other.dims();
-        if ka != kb {
-            return Err(Error::Runtime(format!("summa inner dims {ka} != {kb}")));
-        }
-        let (pr, pc) = self.grid;
-        let b = self.block.min(ka.max(1));
-        let a_data = self.global.data();
-        let b_data = other.global.data();
-
-        let p = cluster.ranks();
-        let slabs = crate::kernels::mc_aligned_ranges(m, p);
-        // slab keys come from the cluster's allocator and live as *pinned*
-        // store entries (same lifecycle as uploaded operand handles:
-        // pinned while in use, dropped by the explicit free below)
-        let keys: Vec<u64> = slabs.iter().map(|_| cluster.fresh_key()).collect();
-        let init: Vec<(usize, Request)> = slabs
-            .iter()
-            .zip(&keys)
-            .enumerate()
-            .map(|(i, (&(r0, r1), &key))| {
-                (
-                    i % p,
-                    Request::SummaInit {
-                        key,
-                        rows: r1 - r0,
-                        n,
-                    },
-                )
-            })
-            .collect();
-        cluster.call_all(init)?;
-
-        let mut kb0 = 0usize;
-        while kb0 < ka {
-            let w = b.min(ka - kb0);
-            let b_panel = b_data[kb0 * n..(kb0 + w) * n].to_vec();
-            let panel: Vec<(usize, Request)> = slabs
-                .iter()
-                .zip(&keys)
-                .enumerate()
-                .map(|(i, (&(r0, r1), &key))| {
-                    // pack this slab's rows of the A column-panel (rows × w)
-                    let mut a_panel = vec![0.0f64; (r1 - r0) * w];
-                    for (local, i_glob) in (r0..r1).enumerate() {
-                        a_panel[local * w..(local + 1) * w]
-                            .copy_from_slice(&a_data[i_glob * ka + kb0..i_glob * ka + kb0 + w]);
-                    }
-                    (
-                        i % p,
-                        Request::SummaPanel {
-                            key,
-                            rows: r1 - r0,
-                            w,
-                            n,
-                            a: a_panel,
-                            b: b_panel.clone(),
-                        },
-                    )
-                })
-                .collect();
-            cluster.call_all(panel)?;
-            // same per-panel charge as the in-process loop
-            let words = (m.div_ceil(pr) * w + w * n.div_ceil(pc)) as u64;
-            comm.charge_p2p(8 * words);
-            kb0 += w;
-        }
-
-        // gather the resident slabs in row order, then free them
-        let gets: Vec<(usize, Request)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &key)| (i % p, Request::Get { key }))
-            .collect();
-        let mut c = Vec::with_capacity(m * n);
-        for reply in cluster.call_all(gets)? {
-            match reply {
-                Reply::F64s(v) => c.extend_from_slice(&v),
-                other => {
-                    return Err(Error::transport(format!(
-                        "expected summa slab, got {other:?}"
-                    )))
-                }
-            }
-        }
-        let frees: Vec<(usize, Request)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &key)| (i % p, Request::Free { key }))
-            .collect();
-        cluster.call_all(frees)?;
-
-        Ok(DistMatrix {
-            global: DenseTensor::from_vec([m, n], c)?,
-            ranks: self.ranks,
-            grid: self.grid,
-            block: self.block,
-        })
-    }
 }
 
 /// Elements of a length-`n` axis owned by grid coordinate `g` of `p`
@@ -308,51 +192,6 @@ mod tests {
                 assert!(d.owner(i, j) < 6);
             }
         }
-    }
-
-    #[test]
-    fn summa_on_cluster_is_bitwise_and_charges_identically() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let a = DenseTensor::<f64>::random([70, 41], &mut rng);
-        let b = DenseTensor::<f64>::random([41, 23], &mut rng);
-        let reference = {
-            let c = comm(4);
-            let da = DistMatrix::from_global(&a, &c, 8).unwrap();
-            let db = DistMatrix::from_global(&b, &c, 8).unwrap();
-            let dc = da.summa(&db, &c).unwrap();
-            let tracker = c.tracker().lock().clone();
-            (dc, tracker)
-        };
-        let mut cl = Cluster::in_process(3);
-        let c = comm(4);
-        let da = DistMatrix::from_global(&a, &c, 8).unwrap();
-        let db = DistMatrix::from_global(&b, &c, 8).unwrap();
-        let dc = da.summa_on(&db, &c, &mut cl).unwrap();
-        assert_eq!(
-            dc.as_dense().data(),
-            reference.0.as_dense().data(),
-            "summa over the cluster must be bitwise-identical"
-        );
-        let t = c.tracker().lock();
-        assert_eq!(t.supersteps, reference.1.supersteps);
-        assert_eq!(t.bytes_critical, reference.1.bytes_critical);
-        assert_eq!(t.sim.comm.to_bits(), reference.1.sim.comm.to_bits());
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn summa_on_real_processes_is_bitwise() {
-        let mut rng = StdRng::seed_from_u64(34);
-        let a = DenseTensor::<f64>::random([47, 29], &mut rng);
-        let b = DenseTensor::<f64>::random([29, 31], &mut rng);
-        let c = comm(4);
-        let da = DistMatrix::from_global(&a, &c, 8).unwrap();
-        let db = DistMatrix::from_global(&b, &c, 8).unwrap();
-        let reference = da.summa(&db, &c).unwrap();
-        let spawn = crate::transport::SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
-        let mut cl = Cluster::multi_process(2, &spawn).unwrap();
-        let dc = da.summa_on(&db, &c, &mut cl).unwrap();
-        assert_eq!(dc.as_dense().data(), reference.as_dense().data());
     }
 
     #[test]

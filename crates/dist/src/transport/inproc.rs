@@ -7,8 +7,7 @@
 //! data actually crosses an address-space boundary. Messages still
 //! round-trip through the little-endian wire codec — the exact same bytes
 //! the multi-process backend puts on its sockets — which keeps one codec
-//! path exercised everywhere (and is exact for `f64`/`Complex64` bit
-//! patterns).
+//! path exercised everywhere (and is exact for `f64` bit patterns).
 
 use super::worker::{Request, WorkerState};
 use super::Transport;
@@ -84,7 +83,7 @@ mod tests {
             t.send(
                 r,
                 tag,
-                &Request::Put {
+                &Request::Upload {
                     key: 1,
                     data: vec![r as f64],
                 }
@@ -96,7 +95,8 @@ mod tests {
                 Reply::Unit
             );
             let tag = t.next_tag();
-            t.send(r, tag, &Request::Get { key: 1 }.encode()).unwrap();
+            t.send(r, tag, &Request::Download { key: 1 }.encode())
+                .unwrap();
             assert_eq!(
                 Reply::decode(&t.recv(r, tag).unwrap()).unwrap(),
                 Reply::F64s(vec![r as f64])

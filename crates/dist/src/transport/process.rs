@@ -822,9 +822,9 @@ mod tests {
             t.send(
                 r,
                 tag,
-                &Request::Put {
+                &Request::Upload {
                     key: 7,
-                    data: vec![r as f64 + 0.5],
+                    data: vec![r as f64 + 0.5, -0.0],
                 }
                 .encode(),
             )
@@ -836,34 +836,15 @@ mod tests {
         }
         for r in 0..2 {
             let tag = t.next_tag();
-            t.send(r, tag, &Request::Get { key: 7 }.encode()).unwrap();
-            assert_eq!(
-                Reply::decode(&t.recv(r, tag).unwrap()).unwrap(),
-                Reply::F64s(vec![r as f64 + 0.5])
-            );
+            t.send(r, tag, &Request::Download { key: 7 }.encode())
+                .unwrap();
+            let Reply::F64s(back) = Reply::decode(&t.recv(r, tag).unwrap()).unwrap() else {
+                panic!("expected payload");
+            };
+            // payloads cross the socket bitwise (-0.0 included)
+            let bits: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, vec![(r as f64 + 0.5).to_bits(), (-0.0f64).to_bits()]);
         }
-        // complex payloads cross the socket bitwise
-        let c = vec![tt_tensor::Complex64::new(1.0 / 3.0, -0.0)];
-        let tag = t.next_tag();
-        t.send(
-            0,
-            tag,
-            &Request::PutC64 {
-                key: 1,
-                data: c.clone(),
-            }
-            .encode(),
-        )
-        .unwrap();
-        t.recv(0, tag).unwrap();
-        let tag = t.next_tag();
-        t.send(0, tag, &Request::GetC64 { key: 1 }.encode())
-            .unwrap();
-        let Reply::C64s(back) = Reply::decode(&t.recv(0, tag).unwrap()).unwrap() else {
-            panic!("expected complex payload");
-        };
-        assert_eq!(back[0].re.to_bits(), c[0].re.to_bits());
-        assert_eq!(back[0].im.to_bits(), c[0].im.to_bits());
     }
 
     #[test]
@@ -878,28 +859,25 @@ mod tests {
         let big: Vec<f64> = (0..200_000).map(|i| i as f64 * 0.5).collect();
         let mut tags = Vec::new();
         for round in 0..3u64 {
-            let put = t.next_tag();
+            let up = t.next_tag();
             t.send(
                 0,
-                put,
-                &Request::Put {
+                up,
+                &Request::Upload {
                     key: round,
                     data: big.clone(),
                 }
                 .encode(),
             )
             .unwrap();
-            let get = t.next_tag();
-            t.send(0, get, &Request::Get { key: round }.encode())
+            let down = t.next_tag();
+            t.send(0, down, &Request::Download { key: round }.encode())
                 .unwrap();
-            tags.push((put, get));
+            tags.push((up, down));
         }
-        for (put, get) in tags {
-            assert_eq!(
-                Reply::decode(&t.recv(0, put).unwrap()).unwrap(),
-                Reply::Unit
-            );
-            let Reply::F64s(back) = Reply::decode(&t.recv(0, get).unwrap()).unwrap() else {
+        for (up, down) in tags {
+            assert_eq!(Reply::decode(&t.recv(0, up).unwrap()).unwrap(), Reply::Unit);
+            let Reply::F64s(back) = Reply::decode(&t.recv(0, down).unwrap()).unwrap() else {
                 panic!("expected payload");
             };
             assert_eq!(back.len(), big.len());
@@ -943,7 +921,7 @@ mod tests {
         t.send(
             0,
             t1,
-            &Request::Put {
+            &Request::Upload {
                 key: 1,
                 data: vec![1.0],
             }
@@ -953,7 +931,7 @@ mod tests {
         t.send(
             0,
             t2,
-            &Request::Put {
+            &Request::Upload {
                 key: 2,
                 data: vec![2.0],
             }
@@ -969,7 +947,8 @@ mod tests {
     fn worker_task_failure_does_not_kill_the_process() {
         let mut t = ProcTransport::spawn(1, &spec()).unwrap();
         let tag = t.next_tag();
-        t.send(0, tag, &Request::Get { key: 404 }.encode()).unwrap();
+        t.send(0, tag, &Request::Download { key: 404 }.encode())
+            .unwrap();
         assert!(matches!(
             Reply::decode(&t.recv(0, tag).unwrap()).unwrap(),
             Reply::Fail(_)
@@ -1038,7 +1017,7 @@ mod tests {
         t.send(
             1,
             tag,
-            &Request::Put {
+            &Request::Upload {
                 key: 9,
                 data: vec![1.5],
             }
@@ -1058,7 +1037,8 @@ mod tests {
         // ...but with a clean store (state reconstruction is the
         // journal's job, one layer up)
         let tag = t.next_tag();
-        t.send(1, tag, &Request::Get { key: 9 }.encode()).unwrap();
+        t.send(1, tag, &Request::Download { key: 9 }.encode())
+            .unwrap();
         assert!(matches!(
             Reply::decode(&t.recv(1, tag).unwrap()).unwrap(),
             Reply::Fail(_)
@@ -1085,7 +1065,7 @@ mod tests {
         t.send(
             1,
             tag,
-            &Request::Put {
+            &Request::Upload {
                 key: 3,
                 data: vec![2.5],
             }
@@ -1094,7 +1074,8 @@ mod tests {
         .unwrap();
         t.recv(1, tag).unwrap();
         let tag = t.next_tag();
-        t.send(1, tag, &Request::Get { key: 3 }.encode()).unwrap();
+        t.send(1, tag, &Request::Download { key: 3 }.encode())
+            .unwrap();
         assert_eq!(
             Reply::decode(&t.recv(1, tag).unwrap()).unwrap(),
             Reply::F64s(vec![2.5])

@@ -4,13 +4,14 @@
 //! server: it holds a keyed store of resident buffers and executes the
 //! same deterministic chunk kernels as the in-process executor —
 //! [`crate::kernels::dense_chunk`], [`crate::kernels::sd_chunk`],
-//! [`crate::kernels::ss_chunk`], whole-matrix factorizations and resident
-//! SUMMA slab updates. Because both backends run *exactly* this code over
+//! [`crate::kernels::ss_chunk`], whole-matrix factorizations and chain
+//! steps whose results stay resident. Because both backends run *exactly*
+//! this code over
 //! *exactly* the same work decomposition, multi-process results are
 //! bitwise-identical to the in-process Sequential executor.
 //!
-//! Every bulk operand of a compute task is an [`OpF`] / [`OpC`] /
-//! [`OpCoords`] / [`OpSs`] — either **inline** bytes (the value-passing
+//! Every bulk operand of a compute task is an [`OpF`] / [`OpCoords`] /
+//! [`OpSs`] — either **inline** bytes (the value-passing
 //! path) or a **key** into the rank's resident store (the handle path:
 //! the operand was pinned by an earlier `Upload*` request and ships zero
 //! bytes with the task). The store is refcounted and LRU-bounded:
@@ -20,7 +21,8 @@
 //! `Release` is the unpin primitive a transport that *does* retain homes
 //! (e.g. a future MPI backend) would use. Unpinned entries are evicted
 //! in deterministic least-recently-used order whenever the store's byte
-//! footprint exceeds its cap.
+//! footprint exceeds its cap. Every insert pins, so only buffers the
+//! driver has released are ever evicted.
 //!
 //! The same [`WorkerState`] is driven two ways:
 //!
@@ -39,7 +41,7 @@ use tt_linalg::TruncSpec;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::GemmPath;
 use tt_tensor::ssmerge::SsBTable;
-use tt_tensor::{Complex64, DenseTensor};
+use tt_tensor::DenseTensor;
 
 /// Environment variable carrying the hub socket path to spawned workers.
 pub const ENV_SOCKET: &str = "TT_DIST_WORKER_SOCKET";
@@ -56,13 +58,6 @@ pub(crate) enum OpF {
     /// The bytes travel with the task.
     Inline(Vec<f64>),
     /// The operand is resident on the rank under this key.
-    Key(u64),
-}
-
-/// A [`Complex64`] buffer operand.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum OpC {
-    Inline(Vec<Complex64>),
     Key(u64),
 }
 
@@ -96,20 +91,10 @@ pub(crate) enum OpSs {
 pub(crate) enum Request {
     /// Liveness / barrier probe.
     Ping,
-    /// Store an `f64` buffer under `key` (unpinned — evictable).
-    Put { key: u64, data: Vec<f64> },
-    /// Fetch the `f64` buffer under `key`.
-    Get { key: u64 },
     /// Drop the buffer under `key` unconditionally (any payload type).
     Free { key: u64 },
-    /// Store a [`Complex64`] buffer under `key` (unpinned).
-    PutC64 { key: u64, data: Vec<Complex64> },
-    /// Fetch the [`Complex64`] buffer under `key`.
-    GetC64 { key: u64 },
     /// Pin an `f64` buffer under `key` (refcount +1).
     Upload { key: u64, data: Vec<f64> },
-    /// Pin a [`Complex64`] buffer under `key`.
-    UploadC64 { key: u64, data: Vec<Complex64> },
     /// Pin a sparse-coordinate bucket under `key`.
     UploadCoords {
         key: u64,
@@ -142,15 +127,6 @@ pub(crate) enum Request {
         n: usize,
         a: OpF,
         b: OpF,
-    },
-    /// [`Request::DenseChunk`] over [`Complex64`] operands.
-    DenseChunkC64 {
-        path: GemmPath,
-        rows: usize,
-        k: usize,
-        n: usize,
-        a: OpC,
-        b: OpC,
     },
     /// One whole dense contraction (the block-pair fan-out of the list
     /// algorithm ships each pair to a rank).
@@ -196,19 +172,6 @@ pub(crate) enum Request {
         cutoff: f64,
         min_keep: u64,
     },
-    /// Allocate a zeroed resident SUMMA slab (`rows × n`) under `key`,
-    /// pinned until freed.
-    SummaInit { key: u64, rows: usize, n: usize },
-    /// Accumulate one `k`-panel product into the resident slab: the
-    /// `rows × w` A-slab panel times the `w × n` B panel.
-    SummaPanel {
-        key: u64,
-        rows: usize,
-        w: usize,
-        n: usize,
-        a: Vec<f64>,
-        b: Vec<f64>,
-    },
     /// One dense chain step: a whole TTGT contraction whose result does
     /// **not** return to the driver — it is written straight into the
     /// rank's resident store under the driver-issued `store` key (pinned).
@@ -222,16 +185,6 @@ pub(crate) enum Request {
         a: OpF,
         b_dims: Vec<usize>,
         b: OpF,
-        store: u64,
-        acc: bool,
-    },
-    /// [`Request::ChainDense`] over [`Complex64`] operands.
-    ChainDenseC64 {
-        spec: String,
-        a_dims: Vec<usize>,
-        a: OpC,
-        b_dims: Vec<usize>,
-        b: OpC,
         store: u64,
         acc: bool,
     },
@@ -268,8 +221,6 @@ pub(crate) enum Reply {
     Unit,
     /// An `f64` buffer.
     F64s(Vec<f64>),
-    /// A [`Complex64`] buffer.
-    C64s(Vec<Complex64>),
     /// Sparse output entries plus the flops the chunk executed.
     Entries {
         offs: Vec<u64>,
@@ -362,29 +313,6 @@ impl OpF {
     }
 }
 
-impl OpC {
-    fn put(&self, e: &mut Enc) {
-        match self {
-            OpC::Inline(v) => {
-                e.put_u8(0);
-                e.put_c64s(v);
-            }
-            OpC::Key(k) => {
-                e.put_u8(1);
-                e.put_u64(*k);
-            }
-        }
-    }
-
-    fn get(d: &mut Dec) -> Result<Self> {
-        Ok(match d.u8()? {
-            0 => OpC::Inline(d.c64s()?),
-            1 => OpC::Key(d.u64()?),
-            t => return Err(Error::transport(format!("bad operand tag {t}"))),
-        })
-    }
-}
-
 impl OpCoords {
     fn put(&self, e: &mut Enc) {
         match self {
@@ -451,8 +379,8 @@ impl OpSs {
 }
 
 impl Request {
-    /// Operand payload bytes this request carries inline: tensor values,
-    /// sparse coordinates, and SUMMA panels — the data-plane volume
+    /// Operand payload bytes this request carries inline: tensor values
+    /// and sparse coordinates — the data-plane volume
     /// [`CostTracker::bytes_operands`](crate::CostTracker) meters. Key
     /// references, dims, specs, and other control framing count zero, so
     /// the meter reads what the driver actually *shipped*, and a request
@@ -462,12 +390,6 @@ impl Request {
             match op {
                 OpF::Inline(v) => 8 * v.len(),
                 OpF::Key(_) => 0,
-            }
-        }
-        fn c(op: &OpC) -> usize {
-            match op {
-                OpC::Inline(v) => 16 * v.len(),
-                OpC::Key(_) => 0,
             }
         }
         fn coords(op: &OpCoords) -> usize {
@@ -488,8 +410,7 @@ impl Request {
             }
         }
         match self {
-            Request::Put { data, .. } | Request::Upload { data, .. } => 8 * data.len(),
-            Request::PutC64 { data, .. } | Request::UploadC64 { data, .. } => 16 * data.len(),
+            Request::Upload { data, .. } => 8 * data.len(),
             Request::UploadCoords {
                 rows, cols, vals, ..
             } => 8 * (rows.len() + cols.len() + vals.len()),
@@ -501,53 +422,31 @@ impl Request {
                 ..
             } => 8 * (keys.len() + lens.len() + cols.len() + vals.len()),
             Request::DenseChunk { a, b, .. } | Request::DensePair { a, b, .. } => f(a) + f(b),
-            Request::DenseChunkC64 { a, b, .. } => c(a) + c(b),
             Request::SdChunk { a, b, .. } => coords(a) + f(b),
             Request::SsChunk { a, b, .. } => coords(a) + ss(b),
             Request::QrThin { a, .. } => f(a),
             Request::SvdTrunc { a, .. } => f(a),
-            Request::SummaPanel { a, b, .. } => 8 * (a.len() + b.len()),
             Request::ChainDense { a, b, .. } => f(a) + f(b),
-            Request::ChainDenseC64 { a, b, .. } => c(a) + c(b),
             Request::ChainSd { a, b, .. } => coords(a) + f(b),
             Request::Ping
-            | Request::Get { .. }
-            | Request::GetC64 { .. }
             | Request::Free { .. }
             | Request::Release { .. }
             | Request::CacheStats
             | Request::SetCacheCap { .. }
-            | Request::SummaInit { .. }
             | Request::Download { .. }
             | Request::Shutdown => 0,
         }
     }
 
-    /// Encode to the wire format.
+    /// Encode to the wire format. Opcodes 1, 2, 4, 5, 12, 13, 15, 17 and
+    /// 24 belonged to retired requests; they stay unassigned, so a frame
+    /// carrying one decodes to a typed error.
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         match self {
             Request::Ping => e.put_u8(0),
-            Request::Put { key, data } => {
-                e.put_u8(1);
-                e.put_u64(*key);
-                e.put_f64s(data);
-            }
-            Request::Get { key } => {
-                e.put_u8(2);
-                e.put_u64(*key);
-            }
             Request::Free { key } => {
                 e.put_u8(3);
-                e.put_u64(*key);
-            }
-            Request::PutC64 { key, data } => {
-                e.put_u8(4);
-                e.put_u64(*key);
-                e.put_c64s(data);
-            }
-            Request::GetC64 { key } => {
-                e.put_u8(5);
                 e.put_u64(*key);
             }
             Request::DenseChunk {
@@ -637,54 +536,11 @@ impl Request {
                 e.put_f64(*cutoff);
                 e.put_u64(*min_keep);
             }
-            Request::SummaInit { key, rows, n } => {
-                e.put_u8(12);
-                e.put_u64(*key);
-                e.put_usize(*rows);
-                e.put_usize(*n);
-            }
-            Request::SummaPanel {
-                key,
-                rows,
-                w,
-                n,
-                a,
-                b,
-            } => {
-                e.put_u8(13);
-                e.put_u64(*key);
-                e.put_usize(*rows);
-                e.put_usize(*w);
-                e.put_usize(*n);
-                e.put_f64s(a);
-                e.put_f64s(b);
-            }
             Request::Shutdown => e.put_u8(14),
-            Request::DenseChunkC64 {
-                path,
-                rows,
-                k,
-                n,
-                a,
-                b,
-            } => {
-                e.put_u8(15);
-                e.put_u8(path_to_u8(*path));
-                e.put_usize(*rows);
-                e.put_usize(*k);
-                e.put_usize(*n);
-                a.put(&mut e);
-                b.put(&mut e);
-            }
             Request::Upload { key, data } => {
                 e.put_u8(16);
                 e.put_u64(*key);
                 e.put_f64s(data);
-            }
-            Request::UploadC64 { key, data } => {
-                e.put_u8(17);
-                e.put_u64(*key);
-                e.put_c64s(data);
             }
             Request::UploadCoords {
                 key,
@@ -739,24 +595,6 @@ impl Request {
                 e.put_u64(*store);
                 e.put_bool(*acc);
             }
-            Request::ChainDenseC64 {
-                spec,
-                a_dims,
-                a,
-                b_dims,
-                b,
-                store,
-                acc,
-            } => {
-                e.put_u8(24);
-                e.put_str(spec);
-                put_usizes(&mut e, a_dims);
-                a.put(&mut e);
-                put_usizes(&mut e, b_dims);
-                b.put(&mut e);
-                e.put_u64(*store);
-                e.put_bool(*acc);
-            }
             Request::ChainSd {
                 a,
                 m,
@@ -792,17 +630,7 @@ impl Request {
         let mut d = Dec::new(bytes);
         let req = match d.u8()? {
             0 => Request::Ping,
-            1 => Request::Put {
-                key: d.u64()?,
-                data: d.f64s()?,
-            },
-            2 => Request::Get { key: d.u64()? },
             3 => Request::Free { key: d.u64()? },
-            4 => Request::PutC64 {
-                key: d.u64()?,
-                data: d.c64s()?,
-            },
-            5 => Request::GetC64 { key: d.u64()? },
             6 => Request::DenseChunk {
                 path: path_from_u8(d.u8()?)?,
                 rows: d.usize()?,
@@ -850,35 +678,10 @@ impl Request {
                 cutoff: d.f64()?,
                 min_keep: d.u64()?,
             },
-            12 => Request::SummaInit {
-                key: d.u64()?,
-                rows: d.usize()?,
-                n: d.usize()?,
-            },
-            13 => Request::SummaPanel {
-                key: d.u64()?,
-                rows: d.usize()?,
-                w: d.usize()?,
-                n: d.usize()?,
-                a: d.f64s()?,
-                b: d.f64s()?,
-            },
             14 => Request::Shutdown,
-            15 => Request::DenseChunkC64 {
-                path: path_from_u8(d.u8()?)?,
-                rows: d.usize()?,
-                k: d.usize()?,
-                n: d.usize()?,
-                a: OpC::get(&mut d)?,
-                b: OpC::get(&mut d)?,
-            },
             16 => Request::Upload {
                 key: d.u64()?,
                 data: d.f64s()?,
-            },
-            17 => Request::UploadC64 {
-                key: d.u64()?,
-                data: d.c64s()?,
             },
             18 => Request::UploadCoords {
                 key: d.u64()?,
@@ -905,15 +708,6 @@ impl Request {
                 store: d.u64()?,
                 acc: d.bool()?,
             },
-            24 => Request::ChainDenseC64 {
-                spec: d.str()?,
-                a_dims: get_usizes(&mut d)?,
-                a: OpC::get(&mut d)?,
-                b_dims: get_usizes(&mut d)?,
-                b: OpC::get(&mut d)?,
-                store: d.u64()?,
-                acc: d.bool()?,
-            },
             25 => Request::ChainSd {
                 a: OpCoords::get(&mut d)?,
                 m: d.usize()?,
@@ -933,7 +727,8 @@ impl Request {
 }
 
 impl Reply {
-    /// Encode to the wire format.
+    /// Encode to the wire format. Tag 3 belonged to a retired buffer
+    /// reply and stays unassigned.
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         match self {
@@ -942,10 +737,6 @@ impl Reply {
             Reply::F64s(v) => {
                 e.put_u8(2);
                 e.put_f64s(v);
-            }
-            Reply::C64s(v) => {
-                e.put_u8(3);
-                e.put_c64s(v);
             }
             Reply::Entries { offs, vals, flops } => {
                 e.put_u8(4);
@@ -1022,7 +813,6 @@ impl Reply {
             0 => Reply::Pong,
             1 => Reply::Unit,
             2 => Reply::F64s(d.f64s()?),
-            3 => Reply::C64s(d.c64s()?),
             4 => Reply::Entries {
                 offs: d.u64s()?,
                 vals: d.f64s()?,
@@ -1097,7 +887,6 @@ impl SsTable {
 /// One resident buffer.
 enum Cached {
     F64(Arc<Vec<f64>>),
-    C64(Arc<Vec<Complex64>>),
     Coords(Arc<Vec<kernels::Coord>>),
     Ss(Arc<SsTable>),
 }
@@ -1107,7 +896,6 @@ impl Cached {
     fn bytes(&self) -> u64 {
         match self {
             Cached::F64(v) => 8 * v.len() as u64,
-            Cached::C64(v) => 16 * v.len() as u64,
             Cached::Coords(v) => 24 * v.len() as u64,
             Cached::Ss(t) => 16 * (t.table.n_entries() + t.table.n_keys()) as u64,
         }
@@ -1168,13 +956,10 @@ impl WorkerState {
         self.clock
     }
 
-    /// Insert (or replace) `key`; `pin` adds one to the refcount carried
-    /// over from any replaced entry. Evicts LRU unpinned entries if the
-    /// cap is now exceeded — but never the entry being inserted, so a
-    /// staged buffer (a collective's `Put` part, even one bigger than
-    /// the cap) always survives until at least the next insert on this
-    /// rank, which is after the request that consumes it.
-    fn insert(&mut self, key: u64, val: Cached, pin: bool) {
+    /// Insert (or replace) `key`, pinned: one more than the refcount
+    /// carried over from any replaced entry. Evicts LRU unpinned entries
+    /// if the cap is now exceeded.
+    fn insert(&mut self, key: u64, val: Cached) {
         let old_rc = match self.store.remove(&key) {
             Some(e) => {
                 self.bytes -= e.val.bytes();
@@ -1191,22 +976,21 @@ impl WorkerState {
             key,
             Entry {
                 val,
-                rc: old_rc + pin as u32,
+                rc: old_rc + 1,
                 last_use,
             },
         );
-        self.evict(Some(key));
+        self.evict();
     }
 
     /// Evict unpinned entries in ascending last-use order until the store
-    /// fits the cap (pinned entries are exempt and may exceed it;
-    /// `keep` — the entry an in-flight insert staged — is never a victim).
-    fn evict(&mut self, keep: Option<u64>) {
+    /// fits the cap (pinned entries are exempt and may exceed it).
+    fn evict(&mut self) {
         while self.bytes > self.cap {
             let victim = self
                 .store
                 .iter()
-                .filter(|(&k, e)| e.rc == 0 && Some(k) != keep)
+                .filter(|(_, e)| e.rc == 0)
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(&k, _)| k);
             match victim {
@@ -1215,7 +999,7 @@ impl WorkerState {
                     self.bytes -= e.val.bytes();
                     self.evictions += 1;
                 }
-                None => break, // everything left is pinned or staged
+                None => break, // everything left is pinned
             }
         }
     }
@@ -1235,15 +1019,6 @@ impl WorkerState {
         match &self.touch(key)?.val {
             Cached::F64(v) => Ok(Arc::clone(v)),
             _ => Err(Error::transport(format!("key {key:#x} is not f64 data"))),
-        }
-    }
-
-    fn get_c64(&mut self, key: u64) -> Result<Arc<Vec<Complex64>>> {
-        match &self.touch(key)?.val {
-            Cached::C64(v) => Ok(Arc::clone(v)),
-            _ => Err(Error::transport(format!(
-                "key {key:#x} is not Complex64 data"
-            ))),
         }
     }
 
@@ -1277,13 +1052,6 @@ impl WorkerState {
         match op {
             OpF::Inline(v) => Ok(Arc::new(v)),
             OpF::Key(k) => self.get_f64(k),
-        }
-    }
-
-    fn opc(&mut self, op: OpC) -> Result<Arc<Vec<Complex64>>> {
-        match op {
-            OpC::Inline(v) => Ok(Arc::new(v)),
-            OpC::Key(k) => self.get_c64(k),
         }
     }
 
@@ -1324,7 +1092,7 @@ impl WorkerState {
     /// value path inserts its first partial.
     fn store_f64(&mut self, key: u64, data: Vec<f64>, acc: bool) -> Result<()> {
         if !acc {
-            self.insert(key, Cached::F64(Arc::new(data)), true);
+            self.insert(key, Cached::F64(Arc::new(data)));
             return Ok(());
         }
         let stamp = self.tick();
@@ -1345,30 +1113,6 @@ impl WorkerState {
         Ok(())
     }
 
-    /// [`WorkerState::store_f64`] for [`Complex64`] results.
-    fn store_c64(&mut self, key: u64, data: Vec<Complex64>, acc: bool) -> Result<()> {
-        if !acc {
-            self.insert(key, Cached::C64(Arc::new(data)), true);
-            return Ok(());
-        }
-        let stamp = self.tick();
-        let entry = self
-            .store
-            .get_mut(&key)
-            .ok_or_else(|| Error::transport(format!("no chain result under key {key:#x}")))?;
-        entry.last_use = stamp;
-        let Cached::C64(buf) = &mut entry.val else {
-            return Err(Error::transport("chain result has wrong payload type"));
-        };
-        if buf.len() != data.len() {
-            return Err(Error::transport("chain partial shape mismatch"));
-        }
-        for (c, p) in Arc::make_mut(buf).iter_mut().zip(&data) {
-            *c += *p;
-        }
-        Ok(())
-    }
-
     /// Execute one request. Returns `None` only for [`Request::Shutdown`];
     /// every other request produces exactly one reply (failures become
     /// [`Reply::Fail`], so a worker never dies on a bad task).
@@ -1383,28 +1127,14 @@ impl WorkerState {
         match req {
             Request::Shutdown => unreachable!("handled in handle()"),
             Request::Ping => Ok(Reply::Pong),
-            Request::Put { key, data } => {
-                self.insert(key, Cached::F64(Arc::new(data)), false);
-                Ok(Reply::Unit)
-            }
-            Request::Get { key } => Ok(Reply::F64s(self.get_f64(key)?.as_ref().clone())),
             Request::Free { key } => {
                 if let Some(e) = self.store.remove(&key) {
                     self.bytes -= e.val.bytes();
                 }
                 Ok(Reply::Unit)
             }
-            Request::PutC64 { key, data } => {
-                self.insert(key, Cached::C64(Arc::new(data)), false);
-                Ok(Reply::Unit)
-            }
-            Request::GetC64 { key } => Ok(Reply::C64s(self.get_c64(key)?.as_ref().clone())),
             Request::Upload { key, data } => {
-                self.insert(key, Cached::F64(Arc::new(data)), true);
-                Ok(Reply::Unit)
-            }
-            Request::UploadC64 { key, data } => {
-                self.insert(key, Cached::C64(Arc::new(data)), true);
+                self.insert(key, Cached::F64(Arc::new(data)));
                 Ok(Reply::Unit)
             }
             Request::UploadCoords {
@@ -1414,7 +1144,7 @@ impl WorkerState {
                 vals,
             } => {
                 let coords = self.opcoords(OpCoords::Inline { rows, cols, vals })?;
-                self.insert(key, Cached::Coords(coords), true);
+                self.insert(key, Cached::Coords(coords));
                 Ok(Reply::Unit)
             }
             Request::UploadSs {
@@ -1425,7 +1155,7 @@ impl WorkerState {
                 vals,
             } => {
                 let table = SsTable::build(keys, &lens, cols, vals)?;
-                self.insert(key, Cached::Ss(Arc::new(table)), true);
+                self.insert(key, Cached::Ss(Arc::new(table)));
                 Ok(Reply::Unit)
             }
             Request::Release { key } => {
@@ -1434,7 +1164,7 @@ impl WorkerState {
                 if let Some(e) = self.store.get_mut(&key) {
                     e.rc = e.rc.saturating_sub(1);
                 }
-                self.evict(None);
+                self.evict();
                 Ok(Reply::Unit)
             }
             Request::CacheStats => Ok(Reply::Stats {
@@ -1453,7 +1183,7 @@ impl WorkerState {
             }),
             Request::SetCacheCap { bytes } => {
                 self.cap = bytes;
-                self.evict(None);
+                self.evict();
                 Ok(Reply::Unit)
             }
             Request::DenseChunk {
@@ -1470,21 +1200,6 @@ impl WorkerState {
                     return Err(Error::transport("dense chunk operand size mismatch"));
                 }
                 Ok(Reply::F64s(kernels::dense_chunk(path, rows, k, n, &a, &b)))
-            }
-            Request::DenseChunkC64 {
-                path,
-                rows,
-                k,
-                n,
-                a,
-                b,
-            } => {
-                let a = self.opc(a)?;
-                let b = self.opc(b)?;
-                if a.len() != rows * k || b.len() != k * n {
-                    return Err(Error::transport("dense chunk operand size mismatch"));
-                }
-                Ok(Reply::C64s(kernels::dense_chunk(path, rows, k, n, &a, &b)))
             }
             Request::DensePair {
                 spec,
@@ -1595,24 +1310,6 @@ impl WorkerState {
                 self.store_f64(store, c.into_data(), acc)?;
                 Ok(Reply::Unit)
             }
-            Request::ChainDenseC64 {
-                spec,
-                a_dims,
-                a,
-                b_dims,
-                b,
-                store,
-                acc,
-            } => {
-                let plan = ContractPlan::parse(&spec)?;
-                let a = self.opc(a)?;
-                let b = self.opc(b)?;
-                let ta = DenseTensor::from_vec(a_dims, Self::take(a))?;
-                let tb = DenseTensor::from_vec(b_dims, Self::take(b))?;
-                let c = kernels::dense_contract(&plan, &ta, &tb, None)?;
-                self.store_c64(store, c.into_data(), acc)?;
-                Ok(Reply::Unit)
-            }
             Request::ChainSd {
                 a,
                 m,
@@ -1641,49 +1338,10 @@ impl WorkerState {
                 self.bytes -= entry.val.bytes();
                 match entry.val {
                     Cached::F64(v) => Ok(Reply::F64s(Self::take(v))),
-                    Cached::C64(v) => Ok(Reply::C64s(Self::take(v))),
                     _ => Err(Error::transport(format!(
                         "key {key:#x} does not hold a downloadable dense buffer"
                     ))),
                 }
-            }
-            Request::SummaInit { key, rows, n } => {
-                // pinned for the duration of the product; summa_on frees it
-                self.insert(key, Cached::F64(Arc::new(vec![0.0f64; rows * n])), true);
-                Ok(Reply::Unit)
-            }
-            Request::SummaPanel {
-                key,
-                rows,
-                w,
-                n,
-                a,
-                b,
-            } => {
-                if a.len() != rows * w || b.len() != w * n {
-                    return Err(Error::transport("summa panel size mismatch"));
-                }
-                let stamp = self.tick();
-                let entry = self
-                    .store
-                    .get_mut(&key)
-                    .ok_or_else(|| Error::transport(format!("no summa slab under key {key}")))?;
-                entry.last_use = stamp;
-                let Cached::F64(slab) = &mut entry.val else {
-                    return Err(Error::transport("summa slab has wrong payload type"));
-                };
-                if slab.len() != rows * n {
-                    return Err(Error::transport("summa slab shape mismatch"));
-                }
-                tt_tensor::gemm::gemm_acc_slices(
-                    rows,
-                    w,
-                    n,
-                    &a,
-                    &b,
-                    Arc::make_mut(slab).as_mut_slice(),
-                );
-                Ok(Reply::Unit)
             }
         }
     }
@@ -1779,24 +1437,10 @@ mod tests {
     fn sample_requests() -> Vec<Request> {
         vec![
             Request::Ping,
-            Request::Put {
-                key: 9,
-                data: vec![1.5, -2.25],
-            },
-            Request::Get { key: 9 },
             Request::Free { key: 9 },
-            Request::PutC64 {
-                key: 1,
-                data: vec![Complex64::new(0.1, -0.2)],
-            },
-            Request::GetC64 { key: 1 },
             Request::Upload {
                 key: 77,
                 data: vec![0.5, -0.0],
-            },
-            Request::UploadC64 {
-                key: 78,
-                data: vec![Complex64::I],
             },
             Request::UploadCoords {
                 key: 79,
@@ -1821,14 +1465,6 @@ mod tests {
                 n: 2,
                 a: OpF::Inline(vec![1.0; 6]),
                 b: OpF::Key(77),
-            },
-            Request::DenseChunkC64 {
-                path: GemmPath::Scalar,
-                rows: 1,
-                k: 1,
-                n: 1,
-                a: OpC::Inline(vec![Complex64::new(1.0, -1.0)]),
-                b: OpC::Key(78),
             },
             Request::DensePair {
                 spec: "ik,kj->ij".into(),
@@ -1878,19 +1514,6 @@ mod tests {
                 cutoff: 1e-12,
                 min_keep: 1,
             },
-            Request::SummaInit {
-                key: 3,
-                rows: 4,
-                n: 2,
-            },
-            Request::SummaPanel {
-                key: 3,
-                rows: 4,
-                w: 1,
-                n: 2,
-                a: vec![1.0; 4],
-                b: vec![2.0; 2],
-            },
             Request::ChainDense {
                 spec: "ik,kj->ij".into(),
                 a_dims: vec![2, 3],
@@ -1899,15 +1522,6 @@ mod tests {
                 b: OpF::Key(12),
                 store: 900,
                 acc: true,
-            },
-            Request::ChainDenseC64 {
-                spec: "ik,kj->ij".into(),
-                a_dims: vec![1, 1],
-                a: OpC::Inline(vec![Complex64::I]),
-                b_dims: vec![1, 1],
-                b: OpC::Key(13),
-                store: 901,
-                acc: false,
             },
             Request::ChainSd {
                 a: OpCoords::Key(42),
@@ -1925,6 +1539,48 @@ mod tests {
         ]
     }
 
+    /// Pin `data` under `key`.
+    fn upload(w: &mut WorkerState, key: u64, data: Vec<f64>) {
+        assert_eq!(w.handle(Request::Upload { key, data }), Some(Reply::Unit));
+    }
+
+    /// Unpin `key`, making it evictable.
+    fn release(w: &mut WorkerState, key: u64) {
+        assert_eq!(w.handle(Request::Release { key }), Some(Reply::Unit));
+    }
+
+    /// Read the `len`-word buffer under `key` back without removing it
+    /// (a `len × 1` times `1 × 1` identity chunk, which touches the entry
+    /// like any keyed task). `None` when the key is not resident.
+    fn read(w: &mut WorkerState, key: u64, len: usize) -> Option<Vec<f64>> {
+        match w.handle(Request::DenseChunk {
+            path: GemmPath::Scalar,
+            rows: len,
+            k: 1,
+            n: 1,
+            a: OpF::Key(key),
+            b: OpF::Inline(vec![1.0]),
+        }) {
+            Some(Reply::F64s(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// `(bytes, entries, pinned, evictions)` of the store.
+    fn stats(w: &mut WorkerState) -> (u64, u64, u64, u64) {
+        let Some(Reply::Stats {
+            bytes,
+            entries,
+            pinned,
+            evictions,
+            ..
+        }) = w.handle(Request::CacheStats)
+        else {
+            panic!("expected stats");
+        };
+        (bytes, entries, pinned, evictions)
+    }
+
     #[test]
     fn requests_and_replies_roundtrip() {
         for req in sample_requests() {
@@ -1935,7 +1591,6 @@ mod tests {
             Reply::Pong,
             Reply::Unit,
             Reply::F64s(vec![1.0, -0.0]),
-            Reply::C64s(vec![Complex64::I]),
             Reply::Entries {
                 offs: vec![3, 7],
                 vals: vec![0.5, 0.25],
@@ -1976,33 +1631,63 @@ mod tests {
         }
     }
 
+    #[test]
+    fn retired_opcodes_decode_to_typed_errors() {
+        // Put, Get, the five dtype twins of the f64 requests and the two
+        // SUMMA slab requests: each bare, and each followed by a body
+        // shaped like its old encoding
+        let retired = [
+            (1u8, "Put"),
+            (2, "Get"),
+            (4, "PutC64"),
+            (5, "GetC64"),
+            (12, "SummaInit"),
+            (13, "SummaPanel"),
+            (15, "DenseChunkC64"),
+            (17, "UploadC64"),
+            (24, "ChainDenseC64"),
+        ];
+        let mut body = Enc::new();
+        body.put_u64(7);
+        body.put_f64s(&[1.0, 2.0]);
+        let body = body.finish();
+        for (op, name) in retired {
+            for tail in [&[][..], &body[..]] {
+                let mut frame = vec![op];
+                frame.extend_from_slice(tail);
+                let err = Request::decode(&frame).expect_err(name);
+                assert!(
+                    matches!(err, Error::Transport(_)),
+                    "{name}: typed transport error, got {err:?}"
+                );
+                assert!(err.to_string().contains("unknown request opcode"), "{name}");
+            }
+        }
+        // the retired buffer reply of the dtype twins
+        let mut frame = vec![3u8];
+        frame.extend_from_slice(&body);
+        let err = Reply::decode(&frame).expect_err("retired reply tag");
+        assert!(matches!(err, Error::Transport(_)), "{err:?}");
+        assert!(err.to_string().contains("unknown reply opcode"));
+    }
+
     /// Arbitrary f64 bit patterns (including NaNs, infinities, -0.0).
     fn any_f64s() -> impl Strategy<Value = Vec<f64>> {
         prop::collection::vec(any::<u64>(), 0..24)
             .prop_map(|bits| bits.into_iter().map(f64::from_bits).collect())
     }
 
-    fn any_c64s() -> impl Strategy<Value = Vec<Complex64>> {
-        prop::collection::vec((any::<u64>(), any::<u64>()), 0..16).prop_map(|pairs| {
-            pairs
-                .into_iter()
-                .map(|(re, im)| Complex64::new(f64::from_bits(re), f64::from_bits(im)))
-                .collect()
-        })
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The codec round-trips the handle-bearing request variants with
-        /// exact f64/Complex64 bit patterns (NaNs and -0.0 included), so
-        /// bitwise equality is compared on the *re-encoded bytes*, not
-        /// through float ==.
+        /// exact f64 bit patterns (NaNs and -0.0 included), so bitwise
+        /// equality is compared on the *re-encoded bytes*, not through
+        /// float ==.
         #[test]
         fn handle_request_codec_is_bit_exact(
             key in any::<u64>(),
             data in any_f64s(),
-            cdata in any_c64s(),
             rows in prop::collection::vec(any::<u64>(), 0..16),
             inline in any::<bool>(),
         ) {
@@ -2015,7 +1700,6 @@ mod tests {
             };
             let reqs = vec![
                 Request::Upload { key, data: data.clone() },
-                Request::UploadC64 { key, data: cdata.clone() },
                 Request::UploadCoords { key, rows: rows.clone(), cols, vals: vals.clone() },
                 Request::UploadSs {
                     key,
@@ -2033,14 +1717,6 @@ mod tests {
                     n: 1,
                     a: OpF::Inline(data.clone()),
                     b: OpF::Key(key),
-                },
-                Request::DenseChunkC64 {
-                    path: GemmPath::Packed,
-                    rows: 0,
-                    k: 2,
-                    n: 3,
-                    a: OpC::Inline(cdata.clone()),
-                    b: OpC::Key(key),
                 },
                 Request::SdChunk { r0: 0, r1: rows.len(), n: 2, a, b: OpF::Key(key) },
                 Request::SsChunk {
@@ -2065,7 +1741,6 @@ mod tests {
             }
             let reps = vec![
                 Reply::F64s(data),
-                Reply::C64s(cdata),
                 Reply::Stats {
                     bytes: key,
                     entries: 1,
@@ -2145,51 +1820,23 @@ mod tests {
     }
 
     #[test]
-    fn worker_state_store_and_summa_lifecycle() {
+    fn worker_state_store_lifecycle() {
         let mut w = WorkerState::new();
         assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
+        upload(&mut w, 5, vec![1.0, 2.0]);
+        assert_eq!(read(&mut w, 5, 2), Some(vec![1.0, 2.0]));
+        // Download returns the buffer and removes it
         assert_eq!(
-            w.handle(Request::Put {
-                key: 5,
-                data: vec![1.0, 2.0]
-            }),
-            Some(Reply::Unit)
-        );
-        assert_eq!(
-            w.handle(Request::Get { key: 5 }),
+            w.handle(Request::Download { key: 5 }),
             Some(Reply::F64s(vec![1.0, 2.0]))
         );
-        // summa: C = A·B accumulated over two 1-wide panels
-        w.handle(Request::SummaInit {
-            key: 8,
-            rows: 2,
-            n: 2,
-        });
-        for kk in 0..2usize {
-            let a: Vec<f64> = (0..2).map(|i| (i * 2 + kk) as f64).collect();
-            let b: Vec<f64> = (0..2).map(|j| (kk * 2 + j) as f64).collect();
-            assert_eq!(
-                w.handle(Request::SummaPanel {
-                    key: 8,
-                    rows: 2,
-                    w: 1,
-                    n: 2,
-                    a,
-                    b
-                }),
-                Some(Reply::Unit)
-            );
-        }
-        let Some(Reply::F64s(c)) = w.handle(Request::Get { key: 8 }) else {
-            panic!("expected slab");
-        };
-        // [[0,1],[2,3]] · [[0,1],[2,3]] = [[2,3],[6,11]]
-        assert_eq!(c, vec![2.0, 3.0, 6.0, 11.0]);
+        assert_eq!(read(&mut w, 5, 2), None);
+        // Free drops a buffer whatever its pin count
+        upload(&mut w, 8, vec![3.0]);
+        upload(&mut w, 8, vec![3.0]);
         assert_eq!(w.handle(Request::Free { key: 8 }), Some(Reply::Unit));
-        assert!(matches!(
-            w.handle(Request::Get { key: 8 }),
-            Some(Reply::Fail(_))
-        ));
+        assert_eq!(read(&mut w, 8, 1), None);
+        assert_eq!(stats(&mut w).0, 0, "no bytes left behind");
         assert_eq!(w.handle(Request::Shutdown), None);
     }
 
@@ -2229,107 +1876,81 @@ mod tests {
 
     #[test]
     fn lru_cap_bounds_unpinned_entries_deterministically() {
-        // cap of 4 f64 buffers of 8 values each (8*8*4 = 256 bytes)
+        // cap of 4 f64 buffers of 8 values each (8*8*4 = 256 bytes);
+        // each buffer is uploaded and then released, so it is evictable
         let mut w = WorkerState::with_cap(256);
         for key in 0..8u64 {
-            w.handle(Request::Put {
-                key,
-                data: vec![key as f64; 8],
-            });
+            upload(&mut w, key, vec![key as f64; 8]);
+            release(&mut w, key);
         }
-        let Some(Reply::Stats { bytes, entries, .. }) = w.handle(Request::CacheStats) else {
-            panic!("expected stats");
-        };
+        let (bytes, entries, _, _) = stats(&mut w);
         assert!(bytes <= 256, "footprint stays under the cap: {bytes}");
         assert_eq!(entries, 4);
         // oldest entries evicted in insertion order: 0..4 gone, 4..8 kept
         for key in 0..4u64 {
-            assert!(matches!(
-                w.handle(Request::Get { key }),
-                Some(Reply::Fail(_))
-            ));
+            assert_eq!(read(&mut w, key, 8), None);
         }
         // touching key 4 makes key 5 the LRU victim of the next insert
-        w.handle(Request::Get { key: 4 });
-        w.handle(Request::Put {
-            key: 100,
-            data: vec![0.0; 8],
-        });
-        assert!(matches!(
-            w.handle(Request::Get { key: 5 }),
-            Some(Reply::Fail(_))
-        ));
-        assert!(matches!(
-            w.handle(Request::Get { key: 4 }),
-            Some(Reply::F64s(_))
-        ));
-    }
-
-    #[test]
-    fn staged_put_survives_its_own_cap_pressure() {
-        // a collective stages parts with Put and Gets them back before
-        // any other insert on the rank; even a part bigger than the cap
-        // must survive until then (the just-inserted entry is never its
-        // own eviction victim)
-        let mut w = WorkerState::with_cap(64);
-        w.handle(Request::Put {
-            key: 1,
-            data: vec![1.0; 32], // 256 bytes > 64-byte cap
-        });
-        assert!(
-            matches!(w.handle(Request::Get { key: 1 }), Some(Reply::F64s(_))),
-            "staged part must be readable before the next insert"
-        );
-        // the next insert evicts the over-cap staged entry
-        w.handle(Request::Put {
-            key: 2,
-            data: vec![2.0; 4],
-        });
-        assert!(matches!(
-            w.handle(Request::Get { key: 1 }),
-            Some(Reply::Fail(_))
-        ));
-        assert!(matches!(
-            w.handle(Request::Get { key: 2 }),
-            Some(Reply::F64s(_))
-        ));
+        assert_eq!(read(&mut w, 4, 8), Some(vec![4.0; 8]));
+        upload(&mut w, 100, vec![0.0; 8]);
+        release(&mut w, 100);
+        assert_eq!(read(&mut w, 5, 8), None);
+        assert_eq!(read(&mut w, 4, 8), Some(vec![4.0; 8]));
     }
 
     #[test]
     fn pinned_entries_survive_cap_pressure_until_released() {
         let mut w = WorkerState::with_cap(64);
-        w.handle(Request::Upload {
-            key: 1,
-            data: vec![1.0; 16], // 128 bytes > cap, but pinned
-        });
-        assert!(matches!(
-            w.handle(Request::Get { key: 1 }),
-            Some(Reply::F64s(_))
-        ));
-        let Some(Reply::Stats { pinned, .. }) = w.handle(Request::CacheStats) else {
-            panic!();
-        };
-        assert_eq!(pinned, 1);
+        upload(&mut w, 1, vec![1.0; 16]); // 128 bytes > cap, but pinned
+        assert_eq!(read(&mut w, 1, 16), Some(vec![1.0; 16]));
+        assert_eq!(stats(&mut w).2, 1, "one pinned entry");
         // double-pin (second upload of the same content) needs two releases
-        w.handle(Request::Upload {
-            key: 1,
-            data: vec![1.0; 16],
-        });
-        w.handle(Request::Release { key: 1 });
-        assert!(matches!(
-            w.handle(Request::Get { key: 1 }),
-            Some(Reply::F64s(_))
-        ));
+        upload(&mut w, 1, vec![1.0; 16]);
+        release(&mut w, 1);
+        assert_eq!(read(&mut w, 1, 16), Some(vec![1.0; 16]));
         // final release drops the pin; over-cap entry is evicted
-        w.handle(Request::Release { key: 1 });
-        assert!(matches!(
-            w.handle(Request::Get { key: 1 }),
-            Some(Reply::Fail(_))
-        ));
-        let Some(Reply::Stats { bytes, .. }) = w.handle(Request::CacheStats) else {
-            panic!();
-        };
-        assert_eq!(bytes, 0);
+        release(&mut w, 1);
+        assert_eq!(read(&mut w, 1, 16), None);
+        assert_eq!(stats(&mut w).0, 0);
+    }
+
+    #[test]
+    fn zero_cap_keeps_an_upload_only_while_pinned() {
+        let mut w = WorkerState::with_cap(0);
+        upload(&mut w, 7, vec![1.5, 2.5]);
+        assert_eq!(read(&mut w, 7, 2), Some(vec![1.5, 2.5]));
+        assert_eq!(stats(&mut w), (16, 1, 1, 0), "pinned, over a zero cap");
+        release(&mut w, 7);
+        assert_eq!(stats(&mut w), (0, 0, 0, 1), "evicted on release");
+        assert_eq!(read(&mut w, 7, 2), None);
+    }
+
+    #[test]
+    fn exact_footprint_cap_evicts_only_past_the_last_byte() {
+        // two released 4-word buffers fill a 64-byte cap exactly
+        let mut w = WorkerState::with_cap(64);
+        for key in [1u64, 2] {
+            upload(&mut w, key, vec![key as f64; 4]);
+            release(&mut w, key);
+        }
+        assert_eq!(stats(&mut w), (64, 2, 0, 0), "at the cap, nothing goes");
+        // one byte under the footprint: the oldest buffer goes
+        assert_eq!(
+            w.handle(Request::SetCacheCap { bytes: 63 }),
+            Some(Reply::Unit)
+        );
+        assert_eq!(stats(&mut w), (32, 1, 0, 1));
+        assert_eq!(read(&mut w, 1, 4), None);
+        assert_eq!(read(&mut w, 2, 4), Some(vec![2.0; 4]));
+        // refill to exactly the cap, then one more word arrives
+        w.handle(Request::SetCacheCap { bytes: 64 });
+        upload(&mut w, 3, vec![3.0; 4]);
+        release(&mut w, 3);
+        assert_eq!(stats(&mut w), (64, 2, 0, 1), "exactly full again");
+        upload(&mut w, 4, vec![4.0]);
+        assert_eq!(stats(&mut w), (40, 2, 1, 2), "LRU buffer 2 evicted");
+        assert_eq!(read(&mut w, 2, 4), None);
+        assert_eq!(read(&mut w, 3, 4), Some(vec![3.0; 4]));
     }
 
     #[test]
@@ -2407,26 +2028,18 @@ mod tests {
             store: 60,
             acc: false,
         });
-        // hammer the store with unpinned puts well past the cap
+        // hammer the store with released uploads well past the cap
         for key in 0..6u64 {
-            w.handle(Request::Put {
-                key,
-                data: vec![key as f64; 8],
-            });
+            upload(&mut w, key, vec![key as f64; 8]);
+            release(&mut w, key);
         }
-        let Some(Reply::Stats { pinned, .. }) = w.handle(Request::CacheStats) else {
-            panic!("expected stats");
-        };
-        assert_eq!(pinned, 1, "the chain result is still pinned");
+        assert_eq!(stats(&mut w).2, 1, "the chain result is still pinned");
         assert_eq!(
             w.handle(Request::Download { key: 60 }),
             Some(Reply::F64s(vec![1.0; 16])),
             "pinned intermediate survived cap pressure"
         );
-        let Some(Reply::Stats { pinned, .. }) = w.handle(Request::CacheStats) else {
-            panic!("expected stats");
-        };
-        assert_eq!(pinned, 0, "download unpins");
+        assert_eq!(stats(&mut w).2, 0, "download unpins");
         // Free also unpins chain results (the free_result path)
         w.handle(Request::ChainDense {
             spec: "ik,kj->ij".into(),

@@ -9,15 +9,11 @@
 
 use crate::cluster::Cluster;
 use crate::comm::Comm;
-use crate::handle::{derive, OpHandle};
 use crate::transport::worker::{OpF, Reply, Request};
-use crate::{Error, Executor, Result};
+use crate::{Error, Result};
 use tt_linalg::qr_thin;
 use tt_tensor::gemm::gemm_acc_slices;
 use tt_tensor::DenseTensor;
-
-/// Derived-buffer purpose tag for resident TSQR row slabs.
-const TAG_TSQR: u64 = 0x7A;
 
 /// TSQR of an `m × n` matrix over `comm`'s ranks: returns `(Q, R)` with
 /// `Q` of size `m × min(m, n)` having orthonormal columns.
@@ -108,85 +104,6 @@ fn decode_factors(reply: Reply) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> 
         other => Err(Error::transport(format!(
             "expected slab factors, got {other:?}"
         ))),
-    }
-}
-
-/// TSQR of a *resident* panel: the handle's row slabs are pinned on the
-/// executor's worker ranks at first use (same lifecycle as every other
-/// operand handle — [`Executor::free`] releases them), so repeated TSQR
-/// factorizations of the same panel ship zero operand bytes. Slab
-/// boundaries and merge order match [`tsqr`], so the factors are
-/// bitwise-identical to the value-passing runs; without a cluster the
-/// numerics fall back to [`tsqr`] on the handle's payload while the
-/// residency charges are still replayed for backend-identical counters.
-pub fn tsqr_on_h(
-    exec: &Executor,
-    h: &OpHandle,
-    comm: &Comm,
-) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-    let a = h.dense()?;
-    if a.order() != 2 {
-        return Err(crate::Error::Runtime(format!(
-            "tsqr wants a matrix, got order {}",
-            a.order()
-        )));
-    }
-    let (m, n) = (a.dims()[0], a.dims()[1]);
-    let p = comm.ranks().clamp(1, m.max(1));
-    // one-time upload charge on first use, identical on every backend
-    let lkey = derive(&[h.key(), TAG_TSQR, p as u64]);
-    if exec.residency().lock().observe(h.key(), lkey) {
-        comm.charge_p2p(8 * (m * n) as u64);
-    }
-    let factors = exec.with_cluster(|cluster| -> Result<_> {
-        let rows_per = m.div_ceil(p);
-        let workers = cluster.ranks();
-        let mut reqs: Vec<(usize, Request)> = Vec::new();
-        let mut slabs = Vec::new();
-        let mut r0 = 0usize;
-        while r0 < m {
-            let r1 = (r0 + rows_per).min(m);
-            slabs.push((r0, r1));
-            r0 = r1;
-        }
-        {
-            let mut res = exec.residency().lock();
-            let data = a.data();
-            for (i, &(r0, r1)) in slabs.iter().enumerate() {
-                let wkey = derive(&[h.key(), TAG_TSQR, p as u64, slabs.len() as u64, i as u64]);
-                if res.add_home(h.key(), wkey, i % workers) {
-                    reqs.push((
-                        i % workers,
-                        Request::Upload {
-                            key: wkey,
-                            data: data[r0 * n..r1 * n].to_vec(),
-                        },
-                    ));
-                }
-            }
-        }
-        let n_uploads = reqs.len();
-        for (i, &(r0, r1)) in slabs.iter().enumerate() {
-            let wkey = derive(&[h.key(), TAG_TSQR, p as u64, slabs.len() as u64, i as u64]);
-            reqs.push((
-                i % workers,
-                Request::QrThin {
-                    rows: r1 - r0,
-                    cols: n,
-                    a: OpF::Key(wkey),
-                },
-            ));
-        }
-        let mut factors = Vec::with_capacity(slabs.len());
-        for reply in cluster.call_all(reqs)?.into_iter().skip(n_uploads) {
-            factors.push(decode_factors(reply)?);
-        }
-        Ok(factors)
-    });
-    match factors {
-        Some(factors) => merge_tree(factors?, n, comm),
-        // in-process: the handle is a plain Arc — same slab/merge code
-        None => tsqr(a, comm),
     }
 }
 
@@ -337,56 +254,6 @@ mod tests {
         let (q, r) = tsqr_on(&a, &c, &mut cl).unwrap();
         assert_eq!(q.data(), q_ref.data());
         assert_eq!(r.data(), r_ref.data());
-    }
-
-    #[test]
-    fn tsqr_on_h_in_process_matches_tsqr_bitwise() {
-        use crate::exec::ExecMode;
-        let mut rng = StdRng::seed_from_u64(57);
-        let a = DenseTensor::<f64>::random([80, 6], &mut rng);
-        let exec = crate::Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
-        let h = exec.upload(&a);
-        let c_ref = comm(4);
-        let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
-        let c = comm(4);
-        let (q, r) = tsqr_on_h(&exec, &h, &c).unwrap();
-        assert_eq!(q.data(), q_ref.data());
-        assert_eq!(r.data(), r_ref.data());
-        // the first use charges the one-time panel upload on top of the
-        // merge-tree supersteps; the second (cache hit) does not
-        let first = c.tracker().lock().bytes_critical;
-        let (q2, _) = tsqr_on_h(&exec, &h, &c).unwrap();
-        assert_eq!(q2.data(), q_ref.data());
-        let second = c.tracker().lock().bytes_critical - first;
-        assert!(second < first, "hit must charge less: {second} vs {first}");
-        exec.free(&h).unwrap();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn tsqr_on_h_over_processes_reuses_resident_slabs() {
-        let mut rng = StdRng::seed_from_u64(58);
-        let a = DenseTensor::<f64>::random([72, 5], &mut rng);
-        let c_ref = comm(4);
-        let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
-        let spawn = crate::transport::SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
-        let mp = crate::Executor::multi_process(Machine::blue_waters(2), 2, 2, spawn).unwrap();
-        let h = mp.upload(&a);
-        let c = comm(4);
-        let (q, r) = tsqr_on_h(&mp, &h, &c).unwrap();
-        assert_eq!(q.data(), q_ref.data());
-        assert_eq!(r.data(), r_ref.data());
-        let first = mp.operand_bytes();
-        let (q2, r2) = tsqr_on_h(&mp, &h, &c).unwrap();
-        let repeat = mp.operand_bytes() - first;
-        assert_eq!(q2.data(), q_ref.data());
-        assert_eq!(r2.data(), r_ref.data());
-        // the repeat ships only task headers against the resident slabs
-        assert!(
-            repeat * 4 < first,
-            "resident panel must not re-ship: first {first}, repeat {repeat}"
-        );
-        mp.free(&h).unwrap();
     }
 
     #[test]

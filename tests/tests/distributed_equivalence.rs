@@ -384,39 +384,6 @@ fn handle_contractions_bitwise_match_value_paths_across_backends() {
 }
 
 #[test]
-fn handle_c64_contractions_bitwise_across_backends() {
-    let (ar, br, _, _) = dense_fixture();
-    let a = ar.to_complex();
-    let b = br.to_complex();
-    let reference = tt_tensor::einsum("isj,jtk->istk", &a, &b).unwrap();
-    let mut execs: Vec<Executor> = vec![
-        Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential),
-        Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Threaded),
-    ];
-    #[cfg(unix)]
-    for p in [2usize, 3] {
-        execs.push(multi_process_executor(p));
-    }
-    for exec in &execs {
-        let cv = exec
-            .contract_c64("isj,jtk->istk", (&a).into(), (&b).into())
-            .unwrap();
-        assert_eq!(cv.data(), reference.data(), "value path");
-        let (ha, hb) = (exec.upload_c64(&a), exec.upload_c64(&b));
-        let c1 = exec
-            .contract_c64("isj,jtk->istk", (&ha).into(), (&hb).into())
-            .unwrap();
-        let c2 = exec
-            .contract_c64("isj,jtk->istk", (&ha).into(), (&hb).into())
-            .unwrap();
-        assert_eq!(c1.data(), reference.data(), "handle miss");
-        assert_eq!(c2.data(), reference.data(), "handle hit");
-        exec.free(&ha).unwrap();
-        exec.free(&hb).unwrap();
-    }
-}
-
-#[test]
 fn resident_ham_matches_effective_ham_bitwise() {
     use dmrg::EffectiveHam;
     use dmrg::Environments;
@@ -479,18 +446,25 @@ fn resident_ham_matches_effective_ham_bitwise() {
 
 #[test]
 fn handle_returning_contractions_bitwise_across_backends() {
-    // contract_to_h / contract_sd_to_h / contract_c64_to_h + chains with
-    // worker-side intermediates: value ≡ chained-handle bitwise over
-    // InProcess seq/thr and MultiProcess p=2,3, with bitwise-equal cost
-    // counters across all of them
-    use tt_dist::{ChainSrc, ChainStep};
+    // one-step chains (dense and sparse-dense) + chains with worker-side
+    // intermediates: value ≡ chained-handle bitwise over InProcess
+    // seq/thr and MultiProcess p=2,3, with bitwise-equal cost counters
+    // across all of them
+    use tt_dist::{ChainSrc, ChainStep, ResultHandle};
     let (a, b, sa, _) = dense_fixture();
     let val = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
     let c_ref = val.contract("isj,jtk->istk", &a, &b).unwrap();
     let d_ref = val.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
     let y_ref = val.contract("istk,istk->", &c_ref, &c_ref).unwrap();
-    let (ac, bc) = (a.to_complex(), b.to_complex());
-    let e_ref = tt_tensor::einsum("isj,jtk->istk", &ac, &bc).unwrap();
+    let one_step = |exec: &Executor, a: ChainSrc, b: ChainSrc| -> ResultHandle {
+        let step = ChainStep {
+            spec: "isj,jtk->istk",
+            a,
+            b,
+            acc: None,
+        };
+        exec.chain(&[step]).unwrap().pop().flatten().unwrap()
+    };
 
     let mut execs: Vec<(String, Executor)> = vec![
         (
@@ -508,9 +482,11 @@ fn handle_returning_contractions_bitwise_across_backends() {
     }
     let mut sims = Vec::new();
     for (name, exec) in &execs {
-        let h = exec
-            .contract_to_h("isj,jtk->istk", (&a).into(), (&b).into())
-            .unwrap();
+        let h = one_step(
+            exec,
+            ChainSrc::Dense((&a).into()),
+            ChainSrc::Dense((&b).into()),
+        );
         // a full chain: the resident result feeds the next step worker-side
         let mut out = exec
             .chain(&[
@@ -545,21 +521,15 @@ fn handle_returning_contractions_bitwise_across_backends() {
             c_ref.data(),
             "{name}: handle-returning dense"
         );
-        let hd = exec
-            .contract_sd_to_h("isj,jtk->istk", (&sa).into(), (&b).into())
-            .unwrap();
+        let hd = one_step(
+            exec,
+            ChainSrc::Sparse((&sa).into()),
+            ChainSrc::Dense((&b).into()),
+        );
         assert_eq!(
             exec.download(hd).unwrap().data(),
             d_ref.data(),
             "{name}: handle-returning sd"
-        );
-        let hc = exec
-            .contract_c64_to_h("isj,jtk->istk", (&ac).into(), (&bc).into())
-            .unwrap();
-        assert_eq!(
-            exec.download_c64(hc).unwrap().data(),
-            e_ref.data(),
-            "{name}: handle-returning c64"
         );
         sims.push((name.clone(), exec.total_flops(), exec.sim_time()));
     }
